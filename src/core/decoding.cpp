@@ -1,13 +1,16 @@
 #include "core/decoding.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/kernels/rows.hpp"
 #include "tensor/ops.hpp"
 
 namespace tsdx::core {
 
 namespace tt = tsdx::tensor;
+namespace kernels = tsdx::tensor::kernels;
 
 namespace {
 
@@ -28,17 +31,18 @@ std::array<std::vector<float>, sdl::kNumSlots> log_probs(
 
 }  // namespace
 
+float ExtractionResult::min_confidence() const {
+  return *std::min_element(confidence.begin(), confidence.end());
+}
+
 sdl::SlotLabels decode_argmax(const SlotProbabilities& probs) {
   sdl::SlotLabels labels{};
   for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
     if (probs[s].size() != sdl::kSlotCardinality[s]) {
       throw std::invalid_argument("decode: wrong probability vector size");
     }
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < probs[s].size(); ++c) {
-      if (probs[s][c] > probs[s][best]) best = c;
-    }
-    labels[s] = best;
+    labels[s] = static_cast<std::size_t>(kernels::argmax_row(
+        probs[s].data(), static_cast<std::int64_t>(probs[s].size())));
   }
   return labels;
 }
@@ -66,30 +70,65 @@ sdl::SlotLabels decode_constrained(const SlotProbabilities& probs) {
   return best;
 }
 
+SlotLogits slot_logits(const std::array<nn::Tensor, sdl::kNumSlots>& logits) {
+  SlotLogits out{};
+  for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
+    out[s] = logits[s].data().data();
+  }
+  return out;
+}
+
+std::vector<ScenarioModel::Prediction> decode_logits(const SlotLogits& logits,
+                                                     std::int64_t batch,
+                                                     const SlotMask& active,
+                                                     bool constrained) {
+  std::vector<ScenarioModel::Prediction> out(static_cast<std::size_t>(batch));
+  SlotProbabilities probs;  // one example's rows, reused across the batch
+  for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
+    probs[s].resize(sdl::kSlotCardinality[s]);
+  }
+  for (std::int64_t i = 0; i < batch; ++i) {
+    ScenarioModel::Prediction& p = out[static_cast<std::size_t>(i)];
+    for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
+      if (!constrained && !active[s]) continue;  // class 0, confidence 0
+      const auto c = static_cast<std::int64_t>(sdl::kSlotCardinality[s]);
+      kernels::softmax_row(probs[s].data(), logits[s] + i * c, c);
+      p.labels[s] =
+          static_cast<std::size_t>(kernels::argmax_row(probs[s].data(), c));
+    }
+    if (constrained) p.labels = decode_constrained(probs);
+    for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
+      if (constrained || active[s]) p.confidence[s] = probs[s][p.labels[s]];
+    }
+  }
+  return out;
+}
+
+std::vector<ExtractionResult> decode_results(const SlotLogits& logits,
+                                             std::int64_t batch,
+                                             const SlotMask& active,
+                                             bool constrained) {
+  std::vector<ExtractionResult> out;
+  out.reserve(static_cast<std::size_t>(batch));
+  for (const auto& p : decode_logits(logits, batch, active, constrained)) {
+    ExtractionResult result;
+    result.description = sdl::from_slot_labels(p.labels);
+    result.confidence = p.confidence;
+    result.warnings = sdl::validate(result.description);
+    out.push_back(std::move(result));
+  }
+  return out;
+}
+
 std::vector<sdl::SlotLabels> decode_batch(const ScenarioModel& model,
                                           const nn::Tensor& video,
                                           bool constrained) {
   tt::NoGradGuard no_grad;
   const auto logits = model.forward(video);
-  const std::int64_t b = video.dim(0);
-
   std::vector<sdl::SlotLabels> out;
-  out.reserve(static_cast<std::size_t>(b));
-  // Per-slot softmax once per batch.
-  std::array<nn::Tensor, sdl::kNumSlots> probs;
-  for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-    probs[s] = tt::softmax_lastdim(logits[s]);
-  }
-  for (std::int64_t i = 0; i < b; ++i) {
-    SlotProbabilities row;
-    for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-      const std::int64_t c = probs[s].dim(1);
-      row[s].resize(static_cast<std::size_t>(c));
-      for (std::int64_t j = 0; j < c; ++j) {
-        row[s][static_cast<std::size_t>(j)] = probs[s].at(i * c + j);
-      }
-    }
-    out.push_back(constrained ? decode_constrained(row) : decode_argmax(row));
+  for (const auto& p : decode_logits(slot_logits(logits), video.dim(0),
+                                     kAllSlots, constrained)) {
+    out.push_back(p.labels);
   }
   return out;
 }

@@ -1,7 +1,5 @@
 #include "core/extractor.hpp"
 
-#include <algorithm>
-
 #include "core/decoding.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
@@ -9,10 +7,6 @@
 namespace tsdx::core {
 
 namespace tt = tsdx::tensor;
-
-float ExtractionResult::min_confidence() const {
-  return *std::min_element(confidence.begin(), confidence.end());
-}
 
 nn::Tensor clip_to_tensor(const sim::VideoClip& clip) {
   return nn::Tensor::from_vector(
@@ -36,60 +30,13 @@ TrainResult ScenarioExtractor::train(const data::Dataset& train_set,
   return Trainer(config).fit(*model_, train_set, val_set);
 }
 
-namespace {
-
-ExtractionResult make_result(const sdl::SlotLabels& labels,
-                             const std::array<float, sdl::kNumSlots>& conf) {
-  ExtractionResult result;
-  result.description = sdl::from_slot_labels(labels);
-  result.confidence = conf;
-  result.warnings = sdl::validate(result.description);
-  return result;
-}
-
-}  // namespace
-
 std::vector<ExtractionResult> ScenarioExtractor::extract_batch(
     const data::Batch& batch) const {
   TSDX_TRACE_SPAN("extract.batch");
-  if (!constrained_) {
-    const auto preds = model_->predict_with_confidence(batch.video);
-    std::vector<ExtractionResult> out;
-    out.reserve(preds.size());
-    for (const auto& p : preds) {
-      out.push_back(make_result(p.labels, p.confidence));
-    }
-    return out;
-  }
-
-  // Constrained path: decode against the valid set, then report the decoded
-  // class's probability (not the argmax's) as the confidence.
   tt::NoGradGuard no_grad;
   const auto logits = model_->forward(batch.video);
-  const std::int64_t b = batch.video.dim(0);
-  std::array<nn::Tensor, sdl::kNumSlots> probs;
-  for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-    probs[s] = tt::softmax_lastdim(logits[s]);
-  }
-  std::vector<ExtractionResult> out;
-  out.reserve(static_cast<std::size_t>(b));
-  for (std::int64_t i = 0; i < b; ++i) {
-    SlotProbabilities row;
-    for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-      const std::int64_t c = probs[s].dim(1);
-      row[s].resize(static_cast<std::size_t>(c));
-      for (std::int64_t j = 0; j < c; ++j) {
-        row[s][static_cast<std::size_t>(j)] = probs[s].at(i * c + j);
-      }
-    }
-    const sdl::SlotLabels labels = decode_constrained(row);
-    std::array<float, sdl::kNumSlots> conf{};
-    for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-      conf[s] = row[s][labels[s]];
-    }
-    out.push_back(make_result(labels, conf));
-  }
-  return out;
+  return decode_results(slot_logits(logits), batch.video.dim(0),
+                        model_->active_slots(), constrained_);
 }
 
 ExtractionResult ScenarioExtractor::extract(const sim::VideoClip& clip) const {

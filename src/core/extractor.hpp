@@ -5,24 +5,13 @@
 #include <memory>
 #include <string>
 
+#include "core/decoding.hpp"
 #include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "core/video_transformer.hpp"
 #include "sim/render.hpp"
 
 namespace tsdx::core {
-
-/// The result of running extraction on one clip.
-struct ExtractionResult {
-  sdl::ScenarioDescription description;
-  std::array<float, sdl::kNumSlots> confidence{};  ///< softmax of argmax class
-  /// Semantic-consistency warnings from sdl::validate (a model can emit
-  /// combinations the SDL grammar forbids; downstream consumers should check).
-  std::vector<std::string> warnings;
-
-  /// Minimum slot confidence — a quick usefulness gate.
-  float min_confidence() const;
-};
 
 /// Owns a ScenarioModel and converts raw clips to descriptions.
 class ScenarioExtractor {

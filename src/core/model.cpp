@@ -1,8 +1,8 @@
 #include "core/model.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
+#include "core/decoding.hpp"
 #include "tensor/nn_ops.hpp"
 #include "tensor/ops.hpp"
 
@@ -71,28 +71,8 @@ std::vector<ScenarioModel::Prediction> ScenarioModel::predict_with_confidence(
     const Tensor& video) const {
   tt::NoGradGuard no_grad;
   const auto logits = forward(video);
-  const std::int64_t b = video.dim(0);
-
-  std::vector<Prediction> out(static_cast<std::size_t>(b));
-  for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-    if (!active_[s]) {
-      for (auto& p : out) {
-        p.labels[s] = 0;
-        p.confidence[s] = 0.0f;
-      }
-      continue;
-    }
-    const Tensor probs = tt::softmax_lastdim(logits[s]);
-    const auto arg = tt::argmax_lastdim(probs);
-    const std::int64_t c = probs.dim(1);
-    for (std::int64_t i = 0; i < b; ++i) {
-      const auto cls = static_cast<std::size_t>(arg[static_cast<std::size_t>(i)]);
-      out[static_cast<std::size_t>(i)].labels[s] = cls;
-      out[static_cast<std::size_t>(i)].confidence[s] =
-          probs.at(i * c + static_cast<std::int64_t>(cls));
-    }
-  }
-  return out;
+  return decode_logits(slot_logits(logits), video.dim(0), active_,
+                       /*constrained=*/false);
 }
 
 }  // namespace tsdx::core

@@ -1,14 +1,9 @@
 #include "plan/executor.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "plan/trace.hpp"
-#include "sdl/description.hpp"
-#include "sdl/taxonomy.hpp"
 
 namespace tsdx::plan {
 
@@ -41,42 +36,18 @@ std::shared_ptr<const Plan> PlanCache::get_or_compile(
   return plan;
 }
 
-namespace {
-
-/// Exactly tensor::softmax_lastdim's per-row arithmetic (and therefore
-/// exactly what the dynamic predict_with_confidence computes).
-void softmax_row(float* y, const float* x, std::int64_t d) {
-  float mx = x[0];
-  for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-  float sum = 0.0f;
-  for (std::int64_t i = 0; i < d; ++i) {
-    y[i] = std::exp(x[i] - mx);
-    sum += y[i];
-  }
-  const float inv = 1.0f / sum;
-  for (std::int64_t i = 0; i < d; ++i) y[i] *= inv;
-}
-
-}  // namespace
-
 PlanExecutor::PlanExecutor(
     std::shared_ptr<const core::ScenarioExtractor> extractor,
     std::shared_ptr<PlanCache> cache)
-    : extractor_(std::move(extractor)), cache_(std::move(cache)) {
-  const std::size_t max_card =
-      *std::max_element(sdl::kSlotCardinality.begin(),
-                        sdl::kSlotCardinality.end());
-  probs_.resize(max_card);
-}
+    : extractor_(std::move(extractor)), cache_(std::move(cache)) {}
 
 std::vector<core::ExtractionResult> PlanExecutor::extract_batch(
     const data::Batch& batch) {
   auto& reg = obs::Registry::global();
-  // Constrained decoding and training-mode models stay on the dynamic
-  // path: the first needs the full probability rows fed through the exact
-  // decoder, the second isn't a pure function of the weights.
+  // A training-mode model stays on the dynamic path: its forward is not a
+  // pure function of the weights.
   std::shared_ptr<const Plan> plan;
-  if (!extractor_->constrained_decoding() && extractor_->frozen()) {
+  if (extractor_->frozen()) {
     plan = cache_->get_or_compile(extractor_->model(), batch.video.shape());
   }
   if (!plan) {
@@ -101,51 +72,14 @@ std::vector<core::ExtractionResult> PlanExecutor::extract_batch(
   plan->run(batch.video.data().data(), arena);
   reg.counter("plan.executions").inc();
 
-  // Post-processing mirrors ScenarioModel::predict_with_confidence +
-  // the extractor's result assembly, element for element: row softmax,
-  // first-strict-max argmax, confidence at the argmax.
-  const std::int64_t b = batch.video.dim(0);
-  const auto& active = extractor_->model().active_slots();
-  std::vector<sdl::SlotLabels> labels(static_cast<std::size_t>(b));
-  std::vector<std::array<float, sdl::kNumSlots>> conf(
-      static_cast<std::size_t>(b));
+  // The dynamic path's own decoder, fed from the plan's logit rows.
+  core::SlotLogits logits{};
   for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-    if (!active[s]) {
-      for (std::int64_t i = 0; i < b; ++i) {
-        labels[static_cast<std::size_t>(i)][s] = 0;
-        conf[static_cast<std::size_t>(i)][s] = 0.0f;
-      }
-      continue;
-    }
-    const float* logits = plan->logits_ptr(s, arena);
-    const auto c = static_cast<std::int64_t>(sdl::kSlotCardinality[s]);
-    for (std::int64_t i = 0; i < b; ++i) {
-      softmax_row(probs_.data(), logits + i * c, c);
-      std::int64_t best = 0;
-      for (std::int64_t j = 1; j < c; ++j) {
-        if (probs_[static_cast<std::size_t>(j)] >
-            probs_[static_cast<std::size_t>(best)]) {
-          best = j;
-        }
-      }
-      labels[static_cast<std::size_t>(i)][s] =
-          static_cast<std::size_t>(best);
-      conf[static_cast<std::size_t>(i)][s] =
-          probs_[static_cast<std::size_t>(best)];
-    }
+    logits[s] = plan->logits_ptr(s, arena);
   }
-
-  std::vector<core::ExtractionResult> out;
-  out.reserve(static_cast<std::size_t>(b));
-  for (std::int64_t i = 0; i < b; ++i) {
-    core::ExtractionResult result;
-    result.description =
-        sdl::from_slot_labels(labels[static_cast<std::size_t>(i)]);
-    result.confidence = conf[static_cast<std::size_t>(i)];
-    result.warnings = sdl::validate(result.description);
-    out.push_back(std::move(result));
-  }
-  return out;
+  return core::decode_results(logits, batch.video.dim(0),
+                              extractor_->model().active_slots(),
+                              extractor_->constrained_decoding());
 }
 
 }  // namespace tsdx::plan

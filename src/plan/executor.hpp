@@ -1,9 +1,10 @@
 // executor.hpp — running compiled plans in the serving path.
 //
 // Three pieces:
-//   * Arena       — one 64-byte-aligned block per worker. grow() events are
-//                   counted so tests can assert the hot path stops
-//                   allocating after warm-up.
+//   * Arena       — one float block per worker (std::vector alignment; see
+//                   the member comment). ensure() growths are counted so
+//                   tests can assert the hot path stops allocating after
+//                   warm-up.
 //   * PlanCache   — geometry -> compiled plan, shared across workers behind
 //                   a tsdx::Mutex at lockorder::Rank::kPlan (rank 43, below
 //                   the tsdx::par ranks: compilation traces a forward that
@@ -12,14 +13,16 @@
 //                   uncompilable model costs one attempt, not one per
 //                   batch.
 //   * PlanExecutor— per-worker facade with the extractor's contract:
-//                   extract_batch() runs the plan when it can and falls
-//                   back to the dynamic path when it can't (constrained
-//                   decoding, unfrozen model, trace failure), bumping
-//                   plan.fallbacks either way it goes.
+//                   extract_batch() runs the plan and decodes its logits
+//                   with the extractor's own decoder (core::decode_results,
+//                   argmax or constrained). It falls back to the dynamic
+//                   path only for an unfrozen model or a trace failure,
+//                   bumping plan.fallbacks.
 //
-// The compiled path's results are bit-identical to the dynamic path's (see
-// plan.hpp); the server may therefore flip ServerConfig::use_compiled_plan
-// without any output contract change.
+// The compiled path's logits are bit-identical to the dynamic path's (see
+// plan.hpp) and both decode through the same function; the server may
+// therefore flip ServerConfig::use_compiled_plan without any output
+// contract change.
 #pragma once
 
 #include <cstddef>
@@ -105,7 +108,6 @@ class PlanExecutor {
   std::shared_ptr<const core::ScenarioExtractor> extractor_;
   std::shared_ptr<PlanCache> cache_;
   Arena arena_;
-  std::vector<float> probs_;  // per-slot softmax scratch, reused
   bool last_used_plan_ = false;
   std::uint64_t plan_executions_ = 0;  // compiled runs by *this* executor
 };

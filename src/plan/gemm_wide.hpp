@@ -1,44 +1,15 @@
-// gemm_wide.hpp — wide-vector GEMM entry for compiled plans.
+// gemm_wide.hpp — the AVX2 capability check under its plan-layer name.
 //
-// The dynamic interpreter runs on the portable blocked kernel in
-// src/tensor/kernels/gemm.cpp, compiled for the baseline ISA so one binary
-// serves any host. A compiled plan is the natural place to spend
-// target-specific effort: this translation unit is built with AVX2 enabled
-// (x86-64 + GCC/Clang only; elsewhere it degrades to the portable kernel)
-// and run_op dispatches to it when the *running* host supports AVX2.
-//
-// Bit-exactness contract: these kernels replicate the portable kernel's
-// loop structure — identical blocking (kMR/kKC/kNC), identical panel
-// packing, and per-C-element accumulation in ascending k order with one
-// multiply-then-add per step. Vectorizing across the independent output
-// columns j does not reorder any element's own float operations, and the
-// unit is compiled with FMA contraction disabled (-mno-fma
-// -ffp-contract=off), so every element sees the same two roundings per k
-// step as the scalar kernel. plan_test pins this down with memcmp.
+// Compiled plans run their GEMMs on the AVX2 build of the blocked kernel
+// when the host supports it (tensor::kernels::Isa::kAvx2); the build and
+// the check live in src/tensor/kernels.
 #pragma once
-
-#include <cstdint>
 
 #include "tensor/kernels/gemm.hpp"
 
 namespace tsdx::plan::wide {
 
-/// True when this translation unit was built with AVX2 code generation.
-/// Callers must also check the running CPU (cpu_supported()) before
-/// dispatching here.
-extern const bool kCompiledWide;
-
-/// True when the running CPU can execute the wide kernels. Constant per
-/// process; defined in plan.cpp — a portable TU — so the check itself never
-/// executes AVX2 instructions.
-bool cpu_supported();
-
-/// Drop-in for tensor::kernels::mm_batched with the same semantics and the
-/// same results, bit for bit. When kCompiledWide is false this forwards to
-/// the portable kernel.
-void mm_batched(tensor::kernels::Trans ta, tensor::kernels::Trans tb,
-                std::int64_t batch, std::int64_t m, std::int64_t k,
-                std::int64_t n, const float* a, const float* b,
-                std::int64_t b_stride, float* c);
+/// True when the running CPU supports AVX2 (tensor::kernels::cpu_supported).
+using tensor::kernels::cpu_supported;
 
 }  // namespace tsdx::plan::wide

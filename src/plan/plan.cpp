@@ -3,32 +3,18 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 
 #include "core/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/gemm_wide.hpp"
 #include "plan/memory.hpp"
 #include "plan/trace.hpp"
 #include "tensor/kernels/gemm.hpp"
-#include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 
 namespace tsdx::plan {
-
-namespace wide {
-// Portable-TU definition: the wide kernels themselves may only execute on
-// hosts that pass this check, so the check must not live in the AVX2 TU.
-bool cpu_supported() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-}  // namespace wide
 
 namespace tt = tsdx::tensor;
 namespace kernels = tsdx::tensor::kernels;
@@ -58,31 +44,6 @@ namespace {
 /// a fixed counter keeps the kernel allocation-free.
 constexpr std::size_t kMaxRank = 16;
 
-// Same constants as tensor::gelu — the fused kernel must reproduce its
-// arithmetic exactly.
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-
-inline float gelu_one(float x) {
-  const float u = kGeluC * (x + kGeluA * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(u));
-}
-
-/// GEMM entry for compiled execution: the wide (AVX2) clone when both the
-/// binary and the running CPU support it, the portable kernel otherwise.
-/// Identical results either way — see gemm_wide.hpp for the contract.
-inline void plan_mm(kernels::Trans ta, kernels::Trans tb, std::int64_t batch,
-                    std::int64_t m, std::int64_t k, std::int64_t n,
-                    const float* a, const float* b, std::int64_t b_stride,
-                    float* c) {
-  static const bool use_wide = wide::kCompiledWide && wide::cpu_supported();
-  if (use_wide) {
-    wide::mm_batched(ta, tb, batch, m, k, n, a, b, b_stride, c);
-  } else {
-    kernels::mm_batched(ta, tb, batch, m, k, n, a, b, b_stride, c);
-  }
-}
-
 /// Per-run pointer resolution: value id -> buffer.
 struct Binding {
   const Graph& graph;
@@ -111,19 +72,6 @@ struct Binding {
     return arena + v.offset / sizeof(float);
   }
 };
-
-/// Row softmax, in place: exactly tensor::softmax_lastdim's per-row loop.
-inline void softmax_row(float* y, const float* x, std::int64_t d) {
-  float mx = x[0];
-  for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-  float sum = 0.0f;
-  for (std::int64_t i = 0; i < d; ++i) {
-    y[i] = std::exp(x[i] - mx);
-    sum += y[i];
-  }
-  const float inv = 1.0f / sum;
-  for (std::int64_t i = 0; i < d; ++i) y[i] *= inv;
-}
 
 /// Broadcast add with the modulo hoisted out: out[i] = big[i] + small[i % m]
 /// computed block-by-block so the inner loop is a plain vectorizable
@@ -171,7 +119,7 @@ void run_op(const Op& op, const Binding& b) {
     case OpType::kGelu: {
       const float* x = b.ptr(op.inputs[0]);
       float* out = b.wptr(op.out);
-      for (std::int64_t i = 0; i < op.rows; ++i) out[i] = gelu_one(x[i]);
+      for (std::int64_t i = 0; i < op.rows; ++i) out[i] = kernels::gelu(x[i]);
       return;
     }
     case OpType::kBiasGelu: {
@@ -187,7 +135,7 @@ void run_op(const Op& op, const Binding& b) {
         const float* xr = x + i0;
         float* yr = out + i0;
         for (std::int64_t j = 0; j < len; ++j) {
-          yr[j] = gelu_one(xr[j] + bias[j]);
+          yr[j] = kernels::gelu(xr[j] + bias[j]);
         }
       }
       return;
@@ -206,9 +154,9 @@ void run_op(const Op& op, const Binding& b) {
       // interpreter does; the compiled path is where the win comes from).
       const std::int64_t bstride =
           op.shared_rhs ? 0 : (nt ? n * k : k * n);
-      plan_mm(kernels::Trans::kN,
-              nt ? kernels::Trans::kT : kernels::Trans::kN, batch, m, k, n, x,
-              y, bstride, out);
+      kernels::mm_batched(kernels::Trans::kN,
+                          nt ? kernels::Trans::kT : kernels::Trans::kN, batch,
+                          m, k, n, x, y, bstride, out, kernels::Isa::kAvx2);
       return;
     }
     case OpType::kPermute: {
@@ -264,31 +212,18 @@ void run_op(const Op& op, const Binding& b) {
     case OpType::kSoftmax: {
       const float* x = b.ptr(op.inputs[0]);
       float* out = b.wptr(op.out);
-      const std::int64_t rows = op.rows, d = op.cols;
-      const std::int64_t grain = par::suggest_grain(rows, d);
-      par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          softmax_row(out + r * d, x + r * d, d);
-        }
+      const std::int64_t d = op.cols;
+      kernels::for_each_row(op.rows, d, [&](std::int64_t r) {
+        kernels::softmax_row(out + r * d, x + r * d, d);
       });
       return;
     }
     case OpType::kLogSoftmax: {
       const float* x = b.ptr(op.inputs[0]);
       float* out = b.wptr(op.out);
-      const std::int64_t rows = op.rows, d = op.cols;
-      const std::int64_t grain = par::suggest_grain(rows, d);
-      par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          const float* xr = x + r * d;
-          float* yr = out + r * d;
-          float mx = xr[0];
-          for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, xr[i]);
-          float sum = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) sum += std::exp(xr[i] - mx);
-          const float lse = mx + std::log(sum);
-          for (std::int64_t i = 0; i < d; ++i) yr[i] = xr[i] - lse;
-        }
+      const std::int64_t d = op.cols;
+      kernels::for_each_row(op.rows, d, [&](std::int64_t r) {
+        kernels::log_softmax_row(out + r * d, x + r * d, d);
       });
       return;
     }
@@ -297,28 +232,10 @@ void run_op(const Op& op, const Binding& b) {
       const float* gamma = b.ptr(op.inputs[1]);
       const float* beta = b.ptr(op.inputs[2]);
       float* out = b.wptr(op.out);
-      const std::int64_t rows = op.rows, d = op.cols;
-      const float eps = op.eps;
-      const std::int64_t grain = par::suggest_grain(rows, d);
-      par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          const float* xr = x + r * d;
-          float* yr = out + r * d;
-          float mean = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) mean += xr[i];
-          mean /= static_cast<float>(d);
-          float var = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float c = xr[i] - mean;
-            var += c * c;
-          }
-          var /= static_cast<float>(d);
-          const float istd = 1.0f / std::sqrt(var + eps);
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float xh = (xr[i] - mean) * istd;
-            yr[i] = xh * gamma[i] + beta[i];
-          }
-        }
+      const std::int64_t d = op.cols;
+      kernels::for_each_row(op.rows, d, [&](std::int64_t r) {
+        kernels::layer_norm_row(out + r * d, x + r * d, gamma, beta, d,
+                                op.eps);
       });
       return;
     }
@@ -329,34 +246,16 @@ void run_op(const Op& op, const Binding& b) {
       const float* beta = b.ptr(op.inputs[3]);
       float* sum_out = b.wptr(op.out2);
       float* out = b.wptr(op.out);
-      const std::int64_t rows = op.rows, d = op.cols;
-      const float eps = op.eps;
-      const std::int64_t grain = par::suggest_grain(rows, d);
-      par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          const float* xr = x + r * d;
-          const float* yr = y + r * d;
-          float* sr = sum_out + r * d;
-          float* nr = out + r * d;
-          // The residual sum is materialized (later ops read it), so the
-          // normalization below sees the identical float values the
-          // standalone add would have produced.
-          for (std::int64_t i = 0; i < d; ++i) sr[i] = xr[i] + yr[i];
-          float mean = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) mean += sr[i];
-          mean /= static_cast<float>(d);
-          float var = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float c = sr[i] - mean;
-            var += c * c;
-          }
-          var /= static_cast<float>(d);
-          const float istd = 1.0f / std::sqrt(var + eps);
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float xh = (sr[i] - mean) * istd;
-            nr[i] = xh * gamma[i] + beta[i];
-          }
-        }
+      const std::int64_t d = op.cols;
+      kernels::for_each_row(op.rows, d, [&](std::int64_t r) {
+        const float* xr = x + r * d;
+        const float* yr = y + r * d;
+        float* sr = sum_out + r * d;
+        // The residual sum is materialized (later ops read it), so the
+        // normalization sees the identical float values the standalone add
+        // would have produced.
+        for (std::int64_t i = 0; i < d; ++i) sr[i] = xr[i] + yr[i];
+        kernels::layer_norm_row(out + r * d, sr, gamma, beta, d, op.eps);
       });
       return;
     }
@@ -366,20 +265,17 @@ void run_op(const Op& op, const Binding& b) {
       float* out = b.wptr(op.out);
       const std::int64_t batch = op.batch, m = op.m, kk = op.k, n = op.n;
       std::fill_n(out, batch * m * n, 0.0f);
-      plan_mm(kernels::Trans::kN, kernels::Trans::kT, batch, m, kk, n, q, k,
-              op.shared_rhs ? 0 : n * kk, out);
-      const std::int64_t rows = batch * m;
+      kernels::mm_batched(kernels::Trans::kN, kernels::Trans::kT, batch, m, kk,
+                          n, q, k, op.shared_rhs ? 0 : n * kk, out,
+                          kernels::Isa::kAvx2);
       const float scale = op.scalar;
-      const std::int64_t grain = par::suggest_grain(rows, n);
-      par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          float* row = out + r * n;
-          // Scale first, then softmax over the scaled row — the same float
-          // stream as mul_scalar + softmax_lastdim, one buffer instead of
-          // three.
-          for (std::int64_t i = 0; i < n; ++i) row[i] *= scale;
-          softmax_row(row, row, n);
-        }
+      kernels::for_each_row(batch * m, n, [&](std::int64_t r) {
+        float* row = out + r * n;
+        // Scale first, then softmax over the scaled row — the same float
+        // stream as mul_scalar + softmax_lastdim, one buffer instead of
+        // three.
+        for (std::int64_t i = 0; i < n; ++i) row[i] *= scale;
+        kernels::softmax_row(row, row, n);
       });
       return;
     }

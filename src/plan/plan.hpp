@@ -9,9 +9,9 @@
 //
 // Equivalence contract (tested by plan_test, gated by bench_k2_plan): a
 // plan's logits are bit-identical to the dynamic forward's at any thread
-// count, fusions included, because every kernel replays the dynamic
-// kernel's arithmetic element for element in the same order. There is no
-// tolerance; the contract is exact equality.
+// count, fusions included, because every op calls the kernels the dynamic
+// ops call (tensor/kernels/gemm.hpp, tensor/kernels/rows.hpp) in the same
+// order. There is no tolerance; the contract is exact equality.
 //
 // A Plan is immutable after compile() and safe to share across workers;
 // each worker brings its own arena (executor.hpp).

@@ -10,11 +10,25 @@
 
 namespace tsdx::tensor::kernels {
 
+namespace portable {
+#include "tensor/kernels/gemm_body.inc"
+}  // namespace portable
+
+namespace avx2 {
+/// Defined in gemm_avx2.cpp: the same body built with AVX2 code generation.
+void gemm_chunk(Trans ta, Trans tb, std::int64_t r0, std::int64_t r1,
+                std::int64_t m, std::int64_t k, std::int64_t n,
+                const float* a, const float* b, std::int64_t b_stride,
+                float* c, float* apack, float* bpack);
+/// Whether gemm_avx2.cpp really was compiled for AVX2 (x86-64 GCC/Clang).
+bool built();
+}  // namespace avx2
+
 namespace {
 
-/// Registry handles resolved once per process. mm() bumps these once per
-/// call (not per row/chunk), so the relaxed adds amortize over the 2*m*k*n
-/// flops they describe.
+/// Registry handles resolved once per process. Every GEMM bumps these once
+/// per call (not per row/chunk), so the relaxed adds amortize over the
+/// 2*batch*m*k*n flops they describe.
 struct GemmMetrics {
   obs::Counter& calls;
   obs::Counter& flops;
@@ -32,139 +46,6 @@ GemmMetrics& gemm_metrics() {
   return metrics;
 }
 
-// Blocking parameters. kMR is the micro-kernel height (C rows held hot);
-// kKC x kNC is the packed op(B) panel, sized to sit in L1/L2 comfortably
-// (256 * 128 floats = 128 KiB worst case, typically far smaller).
-constexpr std::int64_t kMR = 4;
-constexpr std::int64_t kKC = 256;
-constexpr std::int64_t kNC = 128;
-
-/// Pack op(B)[pc:pc+kc, jc:jc+nc] into a contiguous [kc, nc] panel.
-void pack_b(Trans tb, const float* b, std::int64_t ldb, std::int64_t pc,
-            std::int64_t jc, std::int64_t kc, std::int64_t nc, float* panel) {
-  if (tb == Trans::kN) {
-    // b stored [k, n]: each panel row is a contiguous slice of a B row.
-    for (std::int64_t p = 0; p < kc; ++p) {
-      std::memcpy(panel + p * nc, b + (pc + p) * ldb + jc,
-                  static_cast<std::size_t>(nc) * sizeof(float));
-    }
-  } else {
-    // b stored [n, k]: gather the transpose so the micro kernel still walks
-    // unit stride.
-    for (std::int64_t p = 0; p < kc; ++p) {
-      float* dst = panel + p * nc;
-      for (std::int64_t j = 0; j < nc; ++j) {
-        dst[j] = b[(jc + j) * ldb + (pc + p)];
-      }
-    }
-  }
-}
-
-/// Pack op(A)[r0:r1, pc:pc+kc] into a contiguous [r1-r0, kc] panel.
-void pack_a(Trans ta, const float* a, std::int64_t lda, std::int64_t r0,
-            std::int64_t r1, std::int64_t pc, std::int64_t kc, float* panel) {
-  if (ta == Trans::kN) {
-    for (std::int64_t i = r0; i < r1; ++i) {
-      std::memcpy(panel + (i - r0) * kc, a + i * lda + pc,
-                  static_cast<std::size_t>(kc) * sizeof(float));
-    }
-  } else {
-    // a stored [k, m]: gather the transpose row-wise.
-    for (std::int64_t i = r0; i < r1; ++i) {
-      float* dst = panel + (i - r0) * kc;
-      for (std::int64_t p = 0; p < kc; ++p) {
-        dst[p] = a[(pc + p) * lda + i];
-      }
-    }
-  }
-}
-
-/// Reusable pack buffers: one pair per mm() call, or one pair per CHUNK of
-/// an mm_batched() call (resize() past the first slice is a no-op), so a
-/// batch of small transposed products costs two allocations, not two per
-/// slice.
-struct PackScratch {
-  std::vector<float> a, b;
-};
-
-/// C rows [r0, r1) of the full product, using packed panels. Accumulation
-/// per C element runs in ascending k order: pc panels ascend, p within a
-/// panel ascends, and each step is a single multiply-add into the C row.
-void mm_rows(Trans ta, Trans tb, std::int64_t r0, std::int64_t r1,
-             std::int64_t k, std::int64_t n, const float* a, std::int64_t lda,
-             const float* b, std::int64_t ldb, float* c,
-             PackScratch& scratch) {
-  const std::int64_t kc_max = std::min(kKC, k);
-  const std::int64_t nc_max = std::min(kNC, n);
-  // When a single panel spans the whole operand and it is already stored in
-  // the panel's layout (kN), packing would be a byte-for-byte copy: read the
-  // source directly instead. The extractor's per-layer GEMMs (k <= 256,
-  // n <= 128) all take this path; packing still kicks in for transposed
-  // operands and for shapes that genuinely need cache blocking.
-  const bool a_direct = (ta == Trans::kN) && kc_max == k;
-  const bool b_direct = (tb == Trans::kN) && nc_max == n;
-  std::vector<float>& apack = scratch.a;
-  std::vector<float>& bpack = scratch.b;
-  if (!a_direct && apack.size() < static_cast<std::size_t>((r1 - r0) * kc_max))
-    apack.resize(static_cast<std::size_t>((r1 - r0) * kc_max));
-  if (!b_direct && bpack.size() < static_cast<std::size_t>(kc_max * nc_max))
-    bpack.resize(static_cast<std::size_t>(kc_max * nc_max));
-
-  for (std::int64_t pc = 0; pc < k; pc += kKC) {
-    const std::int64_t kc = std::min(kKC, k - pc);
-    const float* apanel;  // rows r0..r1 of op(A)[:, pc:pc+kc], row stride kc
-    if (a_direct) {
-      apanel = a + r0 * lda;  // lda == k == kc
-    } else {
-      pack_a(ta, a, lda, r0, r1, pc, kc, apack.data());
-      apanel = apack.data();
-    }
-    for (std::int64_t jc = 0; jc < n; jc += kNC) {
-      const std::int64_t nc = std::min(kNC, n - jc);
-      const float* bpanel;  // op(B)[pc:pc+kc, jc:jc+nc], row stride nc
-      if (b_direct) {
-        bpanel = b + pc * ldb;  // ldb == n == nc
-      } else {
-        pack_b(tb, b, ldb, pc, jc, kc, nc, bpack.data());
-        bpanel = bpack.data();
-      }
-
-      for (std::int64_t i0 = r0; i0 < r1; i0 += kMR) {
-        const std::int64_t mr = std::min(kMR, r1 - i0);
-        const float* arow = apanel + (i0 - r0) * kc;
-        if (mr == kMR) {
-          float* __restrict__ c0 = c + (i0 + 0) * n + jc;
-          float* __restrict__ c1 = c + (i0 + 1) * n + jc;
-          float* __restrict__ c2 = c + (i0 + 2) * n + jc;
-          float* __restrict__ c3 = c + (i0 + 3) * n + jc;
-          for (std::int64_t p = 0; p < kc; ++p) {
-            const float* __restrict__ bp = bpanel + p * nc;
-            const float x0 = arow[p];
-            const float x1 = arow[kc + p];
-            const float x2 = arow[2 * kc + p];
-            const float x3 = arow[3 * kc + p];
-            for (std::int64_t j = 0; j < nc; ++j) {
-              c0[j] += x0 * bp[j];
-              c1[j] += x1 * bp[j];
-              c2[j] += x2 * bp[j];
-              c3[j] += x3 * bp[j];
-            }
-          }
-        } else {
-          for (std::int64_t r = 0; r < mr; ++r) {
-            float* __restrict__ crow = c + (i0 + r) * n + jc;
-            for (std::int64_t p = 0; p < kc; ++p) {
-              const float* __restrict__ bp = bpanel + p * nc;
-              const float x = arow[r * kc + p];
-              for (std::int64_t j = 0; j < nc; ++j) crow[j] += x * bp[j];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 std::int64_t row_grain(std::int64_t m, std::int64_t k, std::int64_t n) {
@@ -172,69 +53,65 @@ std::int64_t row_grain(std::int64_t m, std::int64_t k, std::int64_t n) {
   // growing in micro-kernel multiples. Depends on the shape only.
   constexpr std::int64_t kTargetFlops = 131072;
   const std::int64_t per_row = std::max<std::int64_t>(1, 2 * k * n);
-  std::int64_t grain = kMR;
+  std::int64_t grain = portable::kMR;
   while (grain < m && grain * per_row < kTargetFlops) grain *= 2;
   return grain;
 }
 
+bool cpu_supported() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+bool avx2_available() {
+  static const bool available = avx2::built() && cpu_supported();
+  return available;
+}
+
 void mm(Trans ta, Trans tb, std::int64_t m, std::int64_t k, std::int64_t n,
         const float* a, const float* b, float* c) {
-  if (m <= 0 || k <= 0 || n <= 0) return;
-  TSDX_TRACE_SPAN("gemm.mm");
-  GemmMetrics& metrics = gemm_metrics();
-  metrics.calls.inc();
-  metrics.flops.inc(static_cast<std::uint64_t>(2 * m * k * n));
-  // Mirrors the a_direct/b_direct decision in mm_rows: both operands fit one
-  // kN panel means the pack buffers are never touched.
-  const bool direct = ta == Trans::kN && tb == Trans::kN && k <= kKC && n <= kNC;
-  (direct ? metrics.direct_path : metrics.packed_path).inc();
-  const std::int64_t lda = (ta == Trans::kN) ? k : m;
-  const std::int64_t ldb = (tb == Trans::kN) ? n : k;
-  par::parallel_for(m, row_grain(m, k, n),
-                    [&](std::int64_t r0, std::int64_t r1) {
-                      PackScratch scratch;
-                      mm_rows(ta, tb, r0, r1, k, n, a, lda, b, ldb, c,
-                              scratch);
-                    });
+  mm_batched(ta, tb, 1, m, k, n, a, b, 0, c);
 }
 
 void mm_batched(Trans ta, Trans tb, std::int64_t batch, std::int64_t m,
                 std::int64_t k, std::int64_t n, const float* a,
-                const float* b, std::int64_t b_stride, float* c) {
+                const float* b, std::int64_t b_stride, float* c, Isa isa) {
   if (batch <= 0 || m <= 0 || k <= 0 || n <= 0) return;
-  if (batch == 1 || (b_stride == 0 && ta == Trans::kN)) {
-    // One slice, or a shared weight under row-dense A: the flat [batch*m]
-    // product runs the identical row-by-row computation.
-    mm(ta, tb, batch == 1 ? m : batch * m, k, n, a, b, c);
-    return;
+  if (b_stride == 0 && ta == Trans::kN) {
+    // A shared weight under row-dense A: the flat [batch*m] product runs
+    // the identical row-by-row computation.
+    m *= batch;
+    batch = 1;
   }
-  TSDX_TRACE_SPAN("gemm.mm_batched");
+  TSDX_TRACE_SPAN(batch == 1 ? "gemm.mm" : "gemm.mm_batched");
   GemmMetrics& metrics = gemm_metrics();
   metrics.calls.inc();
   metrics.flops.inc(static_cast<std::uint64_t>(2 * batch * m * k * n));
-  const bool direct = ta == Trans::kN && tb == Trans::kN && k <= kKC && n <= kNC;
-  (direct ? metrics.direct_path : metrics.packed_path).inc();
-  const std::int64_t lda = (ta == Trans::kN) ? k : m;
-  const std::int64_t ldb = (tb == Trans::kN) ? n : k;
-  const std::int64_t a_stride = m * k;
-  const std::int64_t c_stride = m * n;
-  // Rows of the whole batch are partitioned with the per-slice grain (a pure
-  // function of the slice shape, as always); a chunk that spans slices just
-  // walks them. Chunk boundaries never change what any C row accumulates,
-  // so this is bit-identical to per-slice mm() calls.
-  par::parallel_for(batch * m, row_grain(m, k, n),
-                    [&](std::int64_t r0, std::int64_t r1) {
-                      PackScratch scratch;
-                      while (r0 < r1) {
-                        const std::int64_t g = r0 / m;
-                        const std::int64_t lr0 = r0 - g * m;
-                        const std::int64_t lr1 = std::min(m, r1 - g * m);
-                        mm_rows(ta, tb, lr0, lr1, k, n, a + g * a_stride, lda,
-                                b + g * b_stride, ldb, c + g * c_stride,
-                                scratch);
-                        r0 += lr1 - lr0;
-                      }
-                    });
+  const bool a_direct = portable::a_in_place(ta, k);
+  const bool b_direct = portable::b_in_place(tb, n);
+  (a_direct && b_direct ? metrics.direct_path : metrics.packed_path).inc();
+  const auto chunk = (isa == Isa::kAvx2 && avx2_available())
+                         ? avx2::gemm_chunk
+                         : portable::gemm_chunk;
+  // The batch's rows are partitioned with the per-slice grain, a pure
+  // function of the slice shape, so the result is bit-identical to per-slice
+  // calls at any thread count. Pack buffers are allocated once per chunk.
+  par::parallel_for(
+      batch * m, row_grain(m, k, n), [&](std::int64_t r0, std::int64_t r1) {
+        std::vector<float> apack(
+            a_direct ? 0
+                     : static_cast<std::size_t>(portable::a_pack_floats(
+                           std::min(r1 - r0, m), k)));
+        std::vector<float> bpack(
+            b_direct ? 0
+                     : static_cast<std::size_t>(portable::b_pack_floats(k, n)));
+        chunk(ta, tb, r0, r1, m, k, n, a, b, b_stride, c,
+              a_direct ? nullptr : apack.data(),
+              b_direct ? nullptr : bpack.data());
+      });
 }
 
 }  // namespace tsdx::tensor::kernels

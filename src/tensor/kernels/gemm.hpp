@@ -23,6 +23,13 @@
 // * For every C element, contributions accumulate in ascending-k order —
 //   the same order as the textbook ikj loop — so the blocked kernel is
 //   bit-identical to the naive one (no reassociation, no reordering).
+// * The loop nest lives once, in gemm_body.inc, and is compiled twice: for
+//   the baseline ISA (gemm.cpp) and with AVX2 but without FMA
+//   (gemm_avx2.cpp). Both builds produce the same bits; Isa picks one per
+//   call. The dynamic interpreter uses the portable build, so one binary
+//   serves any host; compiled plans ask for kAvx2. Every call, whichever
+//   build runs it, goes through one instrumented entry (the gemm.* counters
+//   and the gemm.mm / gemm.mm_batched span).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +37,10 @@
 namespace tsdx::tensor::kernels {
 
 enum class Trans : std::uint8_t { kN, kT };
+
+/// Which build of the GEMM body runs a product. kAvx2 runs the AVX2 build
+/// when avx2_available(), else the portable one; the bits are the same.
+enum class Isa : std::uint8_t { kPortable, kAvx2 };
 
 /// C[m, n] += op(A)[m, k] · op(B)[k, n]. Pointers must not alias.
 void mm(Trans ta, Trans tb, std::int64_t m, std::int64_t k, std::int64_t n,
@@ -68,10 +79,19 @@ inline void mm_tn(std::int64_t m, std::int64_t k, std::int64_t n,
 /// tiny per-(clip, head) products.
 void mm_batched(Trans ta, Trans tb, std::int64_t batch, std::int64_t m,
                 std::int64_t k, std::int64_t n, const float* a,
-                const float* b, std::int64_t b_stride, float* c);
+                const float* b, std::int64_t b_stride, float* c,
+                Isa isa = Isa::kPortable);
 
 /// Row-partition grain for an (m, k, n) product: a pure function of the
 /// shape (never the thread count), a multiple of the micro-kernel height.
 std::int64_t row_grain(std::int64_t m, std::int64_t k, std::int64_t n);
+
+/// True when the running CPU supports AVX2. Constant per process, and
+/// defined in the portable build, so the check never runs AVX2 code.
+bool cpu_supported();
+
+/// True when this binary carries the AVX2 build (x86-64 GCC/Clang) and
+/// cpu_supported(): Isa::kAvx2 then really runs AVX2 code.
+bool avx2_available();
 
 }  // namespace tsdx::tensor::kernels

@@ -7,6 +7,7 @@
 #include "core/check.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 #include "tensor/trace_hook.hpp"
 
 namespace tsdx::tensor {
@@ -97,7 +98,9 @@ void col2im(const float* dcol, std::int64_t cin, std::int64_t t,
 
 Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   float eps) {
-  TSDX_SHAPE_ASSERT(x.rank() >= 1, "layer_norm: scalar input");
+  TSDX_SHAPE_ASSERT(x.rank() >= 1 && x.shape().back() > 0,
+                    "layer_norm: need a non-empty last dim, got ",
+                    to_string(x.shape()));
   const std::int64_t d = x.shape().back();
   TSDX_SHAPE_ASSERT(gamma.shape() == Shape{d} && beta.shape() == Shape{d},
                     "layer_norm: gamma ", to_string(gamma.shape()),
@@ -113,27 +116,10 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   const auto gv = gamma.data();
   const auto bv = beta.data();
   const std::int64_t grain = par::suggest_grain(rows, d);
-  par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const float* xr = xv.data() + r * d;
-      float mean = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) mean += xr[i];
-      mean /= static_cast<float>(d);
-      float var = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) {
-        const float c = xr[i] - mean;
-        var += c * c;
-      }
-      var /= static_cast<float>(d);
-      const float istd = 1.0f / std::sqrt(var + eps);
-      (*inv_std)[static_cast<std::size_t>(r)] = istd;
-      float* xh = xhat->data() + r * d;
-      float* yr = out.data() + r * d;
-      for (std::int64_t i = 0; i < d; ++i) {
-        xh[i] = (xr[i] - mean) * istd;
-        yr[i] = xh[i] * gv[i] + bv[i];
-      }
-    }
+  kernels::for_each_row(rows, d, [&](std::int64_t r) {
+    (*inv_std)[static_cast<std::size_t>(r)] = kernels::layer_norm_row(
+        out.data() + r * d, xv.data() + r * d, gv.data(), bv.data(), d, eps,
+        xhat->data() + r * d);
   });
 
   NodePtr xn = x.node();
@@ -212,17 +198,8 @@ Tensor cross_entropy_logits(const Tensor& logits,
     const std::int64_t t = targets[static_cast<std::size_t>(r)];
     TSDX_CHECK(t >= 0 && t < c, "cross_entropy: target ", t,
                " out of range [0, ", c, ")");
-    const float* x = lv.data() + r * c;
-    float mx = x[0];
-    for (std::int64_t i = 1; i < c; ++i) mx = std::max(mx, x[i]);
-    float sum = 0.0f;
     float* p = probs->data() + r * c;
-    for (std::int64_t i = 0; i < c; ++i) {
-      p[i] = std::exp(x[i] - mx);
-      sum += p[i];
-    }
-    const float inv = 1.0f / sum;
-    for (std::int64_t i = 0; i < c; ++i) p[i] *= inv;
+    kernels::softmax_row(p, lv.data() + r * c, c);
     loss -= std::log(std::max(p[t], 1e-12f));
   }
   loss /= static_cast<double>(b);

@@ -6,6 +6,7 @@
 #include "core/check.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 #include "tensor/trace_hook.hpp"
 
 namespace tsdx::tensor {
@@ -185,21 +186,9 @@ Tensor relu(const Tensor& a) {
 }
 
 Tensor gelu(const Tensor& a) {
-  // 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
   Tensor out = unary_op(
-      a,
-      [](float x) {
-        const float u = kC * (x + kA * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(u));
-      },
-      [](float x, float) {
-        const float u = kC * (x + kA * x * x * x);
-        const float t = std::tanh(u);
-        const float du = kC * (1.0f + 3.0f * kA * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-      });
+      a, [](float x) { return kernels::gelu(x); },
+      [](float x, float) { return kernels::gelu_grad(x); });
   if (trace::active()) {
     trace::record({trace::OpKind::kGelu, "gelu", {a.node()}, out.node()});
   }
@@ -791,7 +780,9 @@ Tensor flip(const Tensor& a, std::size_t dim) {
 // ---- softmax family ---------------------------------------------------------------
 
 Tensor softmax_lastdim(const Tensor& a) {
-  TSDX_SHAPE_ASSERT(a.rank() >= 1, "softmax: scalar input");
+  TSDX_SHAPE_ASSERT(a.rank() >= 1 && a.shape().back() > 0,
+                    "softmax: need a non-empty last dim, got ",
+                    to_string(a.shape()));
   const std::int64_t d = a.shape().back();
   const std::int64_t rows = a.numel() / d;
   std::vector<float> out(static_cast<std::size_t>(a.numel()));
@@ -800,20 +791,8 @@ Tensor softmax_lastdim(const Tensor& a) {
   // boundaries depend on the shape only, so results are thread-count
   // invariant).
   const std::int64_t grain = par::suggest_grain(rows, d);
-  par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const float* x = av.data() + r * d;
-      float* y = out.data() + r * d;
-      float mx = x[0];
-      for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-      float sum = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) {
-        y[i] = std::exp(x[i] - mx);
-        sum += y[i];
-      }
-      const float inv = 1.0f / sum;
-      for (std::int64_t i = 0; i < d; ++i) y[i] *= inv;
-    }
+  kernels::for_each_row(rows, d, [&](std::int64_t r) {
+    kernels::softmax_row(out.data() + r * d, av.data() + r * d, d);
   });
   NodePtr an = a.node();
   auto saved = std::make_shared<std::vector<float>>(out);
@@ -842,23 +821,16 @@ Tensor softmax_lastdim(const Tensor& a) {
 }
 
 Tensor log_softmax_lastdim(const Tensor& a) {
-  TSDX_SHAPE_ASSERT(a.rank() >= 1, "log_softmax: scalar input");
+  TSDX_SHAPE_ASSERT(a.rank() >= 1 && a.shape().back() > 0,
+                    "log_softmax: need a non-empty last dim, got ",
+                    to_string(a.shape()));
   const std::int64_t d = a.shape().back();
   const std::int64_t rows = a.numel() / d;
   std::vector<float> out(static_cast<std::size_t>(a.numel()));
   const auto av = a.data();
   const std::int64_t grain = par::suggest_grain(rows, d);
-  par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const float* x = av.data() + r * d;
-      float* y = out.data() + r * d;
-      float mx = x[0];
-      for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-      float sum = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) sum += std::exp(x[i] - mx);
-      const float lse = mx + std::log(sum);
-      for (std::int64_t i = 0; i < d; ++i) y[i] = x[i] - lse;
-    }
+  kernels::for_each_row(rows, d, [&](std::int64_t r) {
+    kernels::log_softmax_row(out.data() + r * d, av.data() + r * d, d);
   });
   NodePtr an = a.node();
   auto saved = std::make_shared<std::vector<float>>(out);
@@ -896,12 +868,7 @@ std::vector<std::int64_t> argmax_lastdim(const Tensor& a) {
   std::vector<std::int64_t> out(static_cast<std::size_t>(rows));
   const auto av = a.data();
   for (std::int64_t r = 0; r < rows; ++r) {
-    const float* x = av.data() + r * d;
-    std::int64_t best = 0;
-    for (std::int64_t i = 1; i < d; ++i) {
-      if (x[i] > x[best]) best = i;
-    }
-    out[static_cast<std::size_t>(r)] = best;
+    out[static_cast<std::size_t>(r)] = kernels::argmax_row(av.data() + r * d, d);
   }
   return out;
 }

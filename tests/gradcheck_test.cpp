@@ -41,6 +41,10 @@ struct GradCase {
   bool positive = false;  ///< draw inputs from U(0.5, 1.5) instead of N(0,1)
 };
 
+// Without this, gtest prints a case as its raw bytes, pointers included, so
+// the discovered ctest names would change with every address-space layout.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<GradCase> op_cases() {
   std::vector<GradCase> cases;
   auto add_case = [&cases](std::string name, std::vector<Shape> shapes, OpFn op,

@@ -3,7 +3,8 @@
 //
 //   1. The blocked, packed GEMM is BIT-identical to the textbook ikj loop
 //      for every transpose variant, including shapes that don't divide the
-//      micro-kernel or panel sizes.
+//      micro-kernel or panel sizes — in both builds of the loop nest (the
+//      portable one and, on AVX2 hosts, the AVX2 one).
 //   2. Results are BIT-identical at any thread count (1, 2, 8), because work
 //      partitioning is a pure function of the shape.
 //   3. parallel_for covers every index exactly once, and tree_sum is both
@@ -68,30 +69,58 @@ constexpr MmCase kVariants[] = {
 // height (4), non-dividing the KC/NC panels, and degenerate dims.
 constexpr std::int64_t kDims[] = {1, 3, 17, 64, 129};
 
+struct IsaCase {
+  kn::Isa isa;
+  const char* name;
+};
+
+/// The GEMM builds this host can run: always the portable one, plus the
+/// AVX2 one when the binary carries it and the CPU supports it.
+std::vector<IsaCase> host_isas() {
+  std::vector<IsaCase> isas = {{kn::Isa::kPortable, "portable"}};
+  if (kn::avx2_available()) isas.push_back({kn::Isa::kAvx2, "avx2"});
+  return isas;
+}
+
 }  // namespace
 
 TEST(GemmKernelTest, BlockedMatchesNaiveBitExact) {
-  for (const MmCase& v : kVariants) {
-    for (std::int64_t m : kDims) {
-      for (std::int64_t k : kDims) {
-        for (std::int64_t n : kDims) {
-          const auto a = random_vec(static_cast<std::size_t>(m * k),
-                                    1000 + static_cast<std::uint64_t>(m));
-          const auto b = random_vec(static_cast<std::size_t>(k * n),
-                                    2000 + static_cast<std::uint64_t>(n));
-          // Non-zero C exercises the accumulate (+=) semantics.
-          auto c_blocked = random_vec(static_cast<std::size_t>(m * n), 3000);
-          auto c_naive = c_blocked;
-          kn::mm(v.ta, v.tb, m, k, n, a.data(), b.data(), c_blocked.data());
-          naive_mm(v.ta, v.tb, m, k, n, a.data(), b.data(), c_naive.data());
-          for (std::size_t i = 0; i < c_blocked.size(); ++i) {
-            ASSERT_EQ(c_blocked[i], c_naive[i])
-                << "variant=" << v.name << " m=" << m << " k=" << k
-                << " n=" << n << " at flat index " << i;
-          }
+  struct Shape3 {
+    std::int64_t m, k, n;
+  };
+  std::vector<Shape3> shapes;
+  for (std::int64_t m : kDims) {
+    for (std::int64_t k : kDims) {
+      for (std::int64_t n : kDims) shapes.push_back({m, k, n});
+    }
+  }
+  // Ragged rows with k > KC (two K panels) and n > NC (two N panels).
+  shapes.push_back({7, 300, 130});
+  shapes.push_back({33, 257, 129});
+  for (const IsaCase& isa : host_isas()) {
+    for (const MmCase& v : kVariants) {
+      for (const Shape3& s : shapes) {
+        const std::int64_t m = s.m, k = s.k, n = s.n;
+        const auto a = random_vec(static_cast<std::size_t>(m * k),
+                                  1000 + static_cast<std::uint64_t>(m));
+        const auto b = random_vec(static_cast<std::size_t>(k * n),
+                                  2000 + static_cast<std::uint64_t>(n));
+        // Non-zero C exercises the accumulate (+=) semantics.
+        auto c_blocked = random_vec(static_cast<std::size_t>(m * n), 3000);
+        auto c_naive = c_blocked;
+        kn::mm_batched(v.ta, v.tb, 1, m, k, n, a.data(), b.data(), 0,
+                       c_blocked.data(), isa.isa);
+        naive_mm(v.ta, v.tb, m, k, n, a.data(), b.data(), c_naive.data());
+        for (std::size_t i = 0; i < c_blocked.size(); ++i) {
+          ASSERT_EQ(c_blocked[i], c_naive[i])
+              << "isa=" << isa.name << " variant=" << v.name << " m=" << m
+              << " k=" << k << " n=" << n << " at flat index " << i;
         }
       }
     }
+  }
+  if (!kn::avx2_available()) {
+    GTEST_SKIP() << "no AVX2 on this host: only the portable build checked";
   }
 }
 
@@ -123,47 +152,58 @@ TEST(GemmKernelTest, BatchedMatchesPerSliceLoopBitExact) {
   // matrices, b_stride 0) and both orientations of B, at several thread
   // counts (chunks may straddle slice boundaries only when the pool
   // partitions the row space, so thread count is part of the matrix).
+  // The reference is always the portable build's per-slice mm(), so the
+  // AVX2 rows also check AVX2 == portable.
   struct Case {
-    kn::Trans tb;
+    kn::Trans ta, tb;
     std::int64_t batch, m, k, n;
     bool shared;
   };
-  // Attention-like tiny slices, a weight-like shared slice, and shapes that
-  // leave partial chunks (m not a multiple of the micro-kernel height).
+  // Attention-like tiny slices, weight-like shared slices (b_stride 0),
+  // shapes that leave partial chunks (m not a multiple of the micro-kernel
+  // height), transposed A, and k > KC / n > NC panel crossings.
   const Case cases[] = {
-      {kn::Trans::kT, 32, 17, 12, 17, false},
-      {kn::Trans::kN, 32, 17, 17, 12, false},
-      {kn::Trans::kN, 8, 33, 48, 48, true},
-      {kn::Trans::kT, 8, 33, 48, 48, true},
-      {kn::Trans::kT, 5, 129, 65, 77, false},
+      {kn::Trans::kN, kn::Trans::kT, 32, 17, 12, 17, false},
+      {kn::Trans::kN, kn::Trans::kN, 32, 17, 17, 12, false},
+      {kn::Trans::kN, kn::Trans::kN, 8, 33, 48, 48, true},
+      {kn::Trans::kN, kn::Trans::kT, 8, 33, 48, 48, true},
+      {kn::Trans::kN, kn::Trans::kT, 5, 129, 65, 77, false},
+      {kn::Trans::kT, kn::Trans::kN, 3, 7, 300, 130, false},
+      {kn::Trans::kT, kn::Trans::kT, 3, 9, 257, 131, true},
+      {kn::Trans::kN, kn::Trans::kN, 2, 13, 260, 140, true},
   };
-  for (const Case& c : cases) {
-    const std::int64_t b_slice = c.k * c.n;
-    const auto a = random_vec(static_cast<std::size_t>(c.batch * c.m * c.k),
-                              51 + static_cast<std::uint64_t>(c.batch));
-    const auto b = random_vec(
-        static_cast<std::size_t>((c.shared ? 1 : c.batch) * b_slice),
-        52 + static_cast<std::uint64_t>(c.n));
-    std::vector<float> want(static_cast<std::size_t>(c.batch * c.m * c.n),
-                            0.0f);
-    const std::int64_t b_stride = c.shared ? 0 : b_slice;
-    for (std::int64_t g = 0; g < c.batch; ++g) {
-      kn::mm(kn::Trans::kN, c.tb, c.m, c.k, c.n, a.data() + g * c.m * c.k,
-             b.data() + g * b_stride, want.data() + g * c.m * c.n);
-    }
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      par::set_threads(threads);
-      std::vector<float> got(want.size(), 0.0f);
-      kn::mm_batched(kn::Trans::kN, c.tb, c.batch, c.m, c.k, c.n, a.data(),
-                     b.data(), b_stride, got.data());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << "batch=" << c.batch << " m=" << c.m << " k=" << c.k
-            << " n=" << c.n << " shared=" << c.shared
-            << " threads=" << threads << " at flat index " << i;
+  for (const IsaCase& isa : host_isas()) {
+    for (const Case& c : cases) {
+      const std::int64_t b_slice = c.k * c.n;
+      const auto a = random_vec(static_cast<std::size_t>(c.batch * c.m * c.k),
+                                51 + static_cast<std::uint64_t>(c.batch));
+      const auto b = random_vec(
+          static_cast<std::size_t>((c.shared ? 1 : c.batch) * b_slice),
+          52 + static_cast<std::uint64_t>(c.n));
+      std::vector<float> want(static_cast<std::size_t>(c.batch * c.m * c.n),
+                              0.0f);
+      const std::int64_t b_stride = c.shared ? 0 : b_slice;
+      for (std::int64_t g = 0; g < c.batch; ++g) {
+        kn::mm(c.ta, c.tb, c.m, c.k, c.n, a.data() + g * c.m * c.k,
+               b.data() + g * b_stride, want.data() + g * c.m * c.n);
       }
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        par::set_threads(threads);
+        std::vector<float> got(want.size(), 0.0f);
+        kn::mm_batched(c.ta, c.tb, c.batch, c.m, c.k, c.n, a.data(),
+                       b.data(), b_stride, got.data(), isa.isa);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i])
+              << "isa=" << isa.name << " batch=" << c.batch << " m=" << c.m
+              << " k=" << c.k << " n=" << c.n << " shared=" << c.shared
+              << " threads=" << threads << " at flat index " << i;
+        }
+      }
+      par::set_threads(1);
     }
-    par::set_threads(1);
+  }
+  if (!kn::avx2_available()) {
+    GTEST_SKIP() << "no AVX2 on this host: only the portable build checked";
   }
 }
 

@@ -16,9 +16,14 @@
 //   liveness planner's in-place aliasing is exercised on every run, and the
 //   suite runs under ASan in CI (`ctest -L sanitize`), so an offset overlap
 //   or out-of-bounds write fails loudly.
-// * Fallback contract: constrained decoding and unfrozen models take the
-//   dynamic path (same results, plan.fallbacks counted); a trace failure is
-//   negatively cached (one plan.trace_errors bump, not one per batch).
+// * Decoding: the executor decodes the plan's logits with the dynamic
+//   path's decoder, so constrained decoding runs on the plan too and
+//   matches the dynamic constrained extractor bit for bit.
+// * Fallback contract: an unfrozen model takes the dynamic path; a trace
+//   failure is negatively cached (one plan.trace_errors bump, not one per
+//   batch).
+// * Accounting: a plan run bumps gemm.calls / gemm.flops exactly as its
+//   graph's matmul ops describe, whichever GEMM build the host runs.
 // * End-to-end: an InferenceServer with use_compiled_plan on answers every
 //   request identically to the dynamic server.
 #include <gtest/gtest.h>
@@ -329,7 +334,7 @@ TEST(PlanTest, ExecutorReusesArenaAndMatchesDynamicPath) {
   EXPECT_EQ(executions.value(), executions_before + 3);
 }
 
-TEST(PlanTest, ConstrainedDecodingFallsBackToDynamic) {
+TEST(PlanTest, ConstrainedDecodingRunsOnPlan) {
   const core::ModelConfig mc = small_config(core::AttentionKind::kJoint);
   auto extractor =
       std::make_shared<core::ScenarioExtractor>(mc, /*seed=*/7);
@@ -338,16 +343,50 @@ TEST(PlanTest, ConstrainedDecodingFallsBackToDynamic) {
   auto cache = std::make_shared<plan::PlanCache>();
   plan::PlanExecutor executor(extractor, cache);
 
-  obs::Counter& fallbacks = obs::Registry::global().counter("plan.fallbacks");
-  const std::uint64_t fallbacks_before = fallbacks.value();
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t executions_before =
+      reg.counter("plan.executions").value();
+  const std::uint64_t fallbacks_before = reg.counter("plan.fallbacks").value();
 
   const data::Batch batch = probe_batch(mc);
   const auto via_executor = executor.extract_batch(batch);
   const auto via_dynamic = extractor->extract_batch(batch);
+  EXPECT_TRUE(executor.last_used_plan());
+  EXPECT_EQ(reg.counter("plan.executions").value(), executions_before + 1);
+  EXPECT_EQ(reg.counter("plan.fallbacks").value(), fallbacks_before);
+  EXPECT_EQ(executor.arena().growths(), 1u);
   expect_same_results(via_executor, via_dynamic, "constrained");
-  EXPECT_EQ(fallbacks.value(), fallbacks_before + 1);
-  // The constrained path never compiled anything; the arena is untouched.
-  EXPECT_EQ(executor.arena().growths(), 0u);
+  for (const core::ExtractionResult& r : via_executor) {
+    EXPECT_TRUE(r.warnings.empty()) << "constrained output must be valid";
+  }
+}
+
+TEST(PlanTest, GemmAccountingMatchesGraph) {
+  const core::ModelConfig mc = small_config(core::AttentionKind::kDividedST);
+  const auto extractor = frozen_extractor(mc);
+  const tt::Shape shape = input_shape(mc);
+  const auto compiled =
+      plan::Plan::compile(extractor.model(), shape, plan::CompileOptions{});
+  std::uint64_t want_calls = 0, want_flops = 0;
+  for (const plan::Op& op : compiled->graph().ops) {
+    if (op.type != plan::OpType::kMatmul &&
+        op.type != plan::OpType::kMatmulNt &&
+        op.type != plan::OpType::kScaledSoftmaxNt) {
+      continue;
+    }
+    ++want_calls;
+    want_flops += static_cast<std::uint64_t>(2 * op.batch * op.m * op.k * op.n);
+  }
+  ASSERT_GT(want_calls, 0u);
+
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t calls_before = reg.counter("gemm.calls").value();
+  const std::uint64_t flops_before = reg.counter("gemm.flops").value();
+  const std::vector<float> values = probe_values(shape);
+  std::vector<float> arena(compiled->arena_bytes() / sizeof(float));
+  compiled->run(values.data(), arena.data());
+  EXPECT_EQ(reg.counter("gemm.calls").value() - calls_before, want_calls);
+  EXPECT_EQ(reg.counter("gemm.flops").value() - flops_before, want_flops);
 }
 
 TEST(PlanTest, CacheRemembersTraceFailure) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/check.hpp"
 #include "tensor/nn_ops.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -314,6 +315,14 @@ TEST(OpsTest, ArgmaxLastDim) {
   EXPECT_EQ(tt::argmax_lastdim(a), (std::vector<std::int64_t>{1, 0}));
 }
 
+TEST(OpsTest, SoftmaxFamilyRejectsEmptyLastDim) {
+  // rows = numel / d would divide by zero.
+  const Tensor empty = Tensor::zeros({2, 0});
+  EXPECT_THROW(tt::softmax_lastdim(empty), tsdx::ShapeError);
+  EXPECT_THROW(tt::log_softmax_lastdim(empty), tsdx::ShapeError);
+  EXPECT_THROW(tt::argmax_lastdim(empty), tsdx::ShapeError);
+}
+
 // ---- autograd engine -------------------------------------------------------------------------
 
 TEST(AutogradTest, SimpleChain) {
@@ -423,6 +432,12 @@ TEST(NnOpsTest, LayerNormNormalizes) {
     EXPECT_NEAR(mean, 0.0f, 1e-5f);
     EXPECT_NEAR(var / 4, 1.0f, 1e-3f);
   }
+}
+
+TEST(NnOpsTest, LayerNormRejectsEmptyLastDim) {
+  EXPECT_THROW(tt::layer_norm(Tensor::zeros({2, 0}), Tensor::ones({0}),
+                              Tensor::zeros({0})),
+               tsdx::ShapeError);
 }
 
 TEST(NnOpsTest, CrossEntropyUniformLogits) {

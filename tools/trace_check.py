@@ -33,17 +33,18 @@ the plan-level span structure instead:
   plan trace        At least one trace ID covers serve.request +
                     serve.queue_wait + serve.batch + plan.execute — a
                     request batch executed through a compiled plan, not the
-                    dynamic interpreter. (model.*/gemm.* spans are NOT
-                    required: the compiled hot path may dispatch to the
-                    plan's wide kernels, which trade per-op spans for the
-                    single plan.execute span.)
+                    dynamic interpreter. (model.* spans are NOT required:
+                    a plan runs as the single plan.execute span, with only
+                    its GEMMs' gemm.* spans inside.)
   plan nesting      plan.execute sits inside serve.batch on the worker's
                     thread, and a plan.compile span exists somewhere in the
                     buffer (compilation happens once per clip geometry, on
                     the first batch that sees it).
   plan metrics      counters plan.compiled and plan.executions are positive
                     — plans were built and actually used, not silently
-                    fallen back from (the serve.* checks still apply).
+                    fallen back from (the serve.* and gemm.calls checks
+                    still apply: plan GEMMs count like dynamic ones, on
+                    either GEMM build).
 
 Optional artifact checks (combinable with or without the positionals; at
 least one check must be requested):
@@ -187,10 +188,11 @@ def check_metrics(metrics, plan_mode: bool) -> None:
         if not isinstance(metrics.get(section), dict):
             fail(f"metrics JSON is missing the `{section}` map")
     counters = metrics["counters"]
-    # gemm.calls is not required in plan mode: the compiled hot path may run
-    # the plan's own wide kernels, which the dynamic GEMM counters never see.
-    required = ["serve.submitted", "serve.completed"]
-    required += ["plan.compiled", "plan.executions"] if plan_mode else ["gemm.calls"]
+    # Every GEMM, dynamic or compiled, portable or AVX2 build, goes through
+    # the one instrumented entry, so gemm.calls counts in both modes.
+    required = ["serve.submitted", "serve.completed", "gemm.calls"]
+    if plan_mode:
+        required += ["plan.compiled", "plan.executions"]
     for name in required:
         if counters.get(name, 0) <= 0:
             fail(f"counter `{name}` is missing or zero")
@@ -205,7 +207,8 @@ def check_metrics(metrics, plan_mode: bool) -> None:
     if plan_mode:
         detail = (
             f"{counters['plan.compiled']} plan(s) compiled, "
-            f"{counters['plan.executions']} compiled execution(s)"
+            f"{counters['plan.executions']} compiled execution(s), "
+            f"{counters['gemm.calls']} GEMM calls"
         )
     else:
         detail = f"{counters['gemm.calls']} GEMM calls"

@@ -78,6 +78,11 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     sweeps the new obs v2 state too: the Recorder's ring and
                     the SloEngine's rolling buckets / dump budget are all
                     TSDX_GUARDED_BY their rank-checked mutexes.
+  plan-float-math   No std::exp / std::log / std::tanh / std::sqrt under
+                    src/plan/. Compiled plans are bit-identical to the
+                    dynamic path because both call the shared kernels in
+                    src/tensor/kernels (rows.hpp, gemm.hpp); a transcendental
+                    in src/plan/ is a copied kernel that can drift.
 
 Usage: tsdx_lint.py [repo_root]      (exit 0 = clean, 1 = violations)
 If repo_root is omitted it is derived from this script's location, so the
@@ -463,6 +468,21 @@ class Linter:
                                    "(or move it above the lock if it is "
                                    f"not shared state): `{stmt}`")
 
+    # ---- plan-float-math ----------------------------------------------------
+
+    def check_plan_float_math(self) -> None:
+        pat = re.compile(r"\bstd::(?:exp|log|tanh|sqrt)\b")
+        for path in sorted((self.root / "src" / "plan").rglob("*")):
+            if path.suffix not in (".hpp", ".cpp", ".inc"):
+                continue
+            clean = strip_comments_and_strings(path.read_text())
+            for lineno, line in enumerate(clean.splitlines(), 1):
+                if pat.search(line):
+                    self.error(path, lineno, "plan-float-math",
+                               "float math in src/plan/ — call the shared "
+                               "row kernels (tensor/kernels/rows.hpp) so "
+                               "compiled and dynamic paths stay bit-identical")
+
     # ---- driver -------------------------------------------------------------
 
     def run(self) -> int:
@@ -476,6 +496,7 @@ class Linter:
         self.check_op_shape_validation()
         self.check_raw_mutex()
         self.check_unannotated_shared()
+        self.check_plan_float_math()
         if self.errors:
             for e in self.errors:
                 print(e)
