@@ -4,7 +4,9 @@
 // bench-scale DividedST extractor runs per clip: tubelet embedding, QKV
 // projections, attention QKᵀ / A·V, and the MLP. A final section measures
 // end-to-end single-clip forward throughput at 1 thread vs the full intra-op
-// budget.
+// budget. The row kernels' throughput (GELU with its fused bias, softmax)
+// is recorded too, in Melem/s at 1 thread: ungated context, since both are
+// bounded by the vector exp in rows.hpp rather than by a GEMM.
 //
 // Expected shape: blocked-1t beats scalar on every shape (unit-stride packed
 // panels auto-vectorize; the scalar loop's branch defeats vectorization), and
@@ -27,6 +29,7 @@
 #include "sim/clipgen.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 #include "tensor/rng.hpp"
 
 using namespace tsdx;
@@ -159,6 +162,41 @@ ShapeResult bench_shape(const ShapeSpec& s, std::size_t reps,
   return result;
 }
 
+/// Row-kernel throughput at 1 thread, Melem/s: bias+GELU on the batch-8 MLP
+/// hidden tensor [1024, 96] and softmax on attention-score rows [1024, 128].
+struct RowResult {
+  double gelu_melem_s = 0.0;
+  double softmax_melem_s = 0.0;
+};
+
+RowResult bench_rows(std::size_t reps) {
+  constexpr std::int64_t kRows = 1024, kHidden = 96, kScores = 128;
+  tensor::Rng rng(kDataSeed);
+  std::vector<float> x(static_cast<std::size_t>(kRows * kScores));
+  for (auto& v : x) v = static_cast<float>(rng.normal());
+  std::vector<float> bias(static_cast<std::size_t>(kHidden));
+  for (auto& v : bias) v = static_cast<float>(rng.normal());
+  std::vector<float> y(x.size());
+  par::set_threads(1);
+  const auto melem_s = [](std::int64_t n, double seconds) {
+    return static_cast<double>(n) / seconds / 1e6;
+  };
+  RowResult r;
+  r.gelu_melem_s = melem_s(kRows * kHidden, time_best(reps, [&] {
+    for (std::int64_t i = 0; i < kRows; ++i) {
+      kernels::gelu_row(y.data() + i * kHidden, x.data() + i * kHidden,
+                        bias.data(), kHidden);
+    }
+  }));
+  r.softmax_melem_s = melem_s(kRows * kScores, time_best(reps, [&] {
+    for (std::int64_t i = 0; i < kRows; ++i) {
+      kernels::softmax_row(y.data() + i * kScores, x.data() + i * kScores,
+                           kScores);
+    }
+  }));
+  return r;
+}
+
 double geomean(const std::vector<ShapeResult>& rows,
                double ShapeResult::*field) {
   double log_sum = 0.0;
@@ -167,7 +205,7 @@ double geomean(const std::vector<ShapeResult>& rows,
 }
 
 void write_json(const char* path, const std::vector<ShapeResult>& rows,
-                double forward_1t, double forward_nt,
+                double forward_1t, double forward_nt, const RowResult& row,
                 std::size_t pool_threads) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
@@ -195,11 +233,13 @@ void write_json(const char* path, const std::vector<ShapeResult>& rows,
                "  \"summary\": {\"scalar_geomean\": %.4f, "
                "\"blocked_geomean\": %.4f, \"parallel_geomean\": %.4f, "
                "\"forward_clips_per_s_1t\": %.4f, "
-               "\"forward_clips_per_s_nt\": %.4f}\n}\n",
+               "\"forward_clips_per_s_nt\": %.4f, "
+               "\"gelu_melem_per_s_1t\": %.4f, "
+               "\"softmax_melem_per_s_1t\": %.4f}\n}\n",
                geomean(rows, &ShapeResult::scalar_gflops),
                geomean(rows, &ShapeResult::blocked_gflops),
                geomean(rows, &ShapeResult::parallel_gflops), forward_1t,
-               forward_nt);
+               forward_nt, row.gelu_melem_s, row.softmax_melem_s);
   std::fclose(f);
 }
 
@@ -274,8 +314,13 @@ int main(int argc, char** argv) {
               "%.2f clips/s @%zu threads (%.2fx)\n",
               fwd_1t, fwd_nt, pool_threads, fwd_nt / fwd_1t);
 
+  const RowResult row = bench_rows(reps);
+  std::printf("row kernels @1 thread: bias+GELU %.1f Melem/s [1024x96], "
+              "softmax %.1f Melem/s [1024x128]\n",
+              row.gelu_melem_s, row.softmax_melem_s);
+
   if (json_path != nullptr) {
-    write_json(json_path, rows, fwd_1t, fwd_nt, pool_threads);
+    write_json(json_path, rows, fwd_1t, fwd_nt, row, pool_threads);
     std::printf("wrote %s\n", json_path);
   }
   return 0;

@@ -119,25 +119,24 @@ void run_op(const Op& op, const Binding& b) {
     case OpType::kGelu: {
       const float* x = b.ptr(op.inputs[0]);
       float* out = b.wptr(op.out);
-      for (std::int64_t i = 0; i < op.rows; ++i) out[i] = kernels::gelu(x[i]);
+      const std::int64_t d = op.cols;
+      kernels::for_each_row(op.rows, d, [&](std::int64_t r) {
+        kernels::gelu_row(out + r * d, x + r * d, nullptr, d);
+      });
       return;
     }
     case OpType::kBiasGelu: {
       const float* x = b.ptr(op.inputs[0]);
       const float* bias = b.ptr(op.inputs[1]);
       float* out = b.wptr(op.out);
-      const std::int64_t n = op.rows;
+      // Rows are one period of the suffix-broadcast bias. The sum is the
+      // float an unfused add would have stored, and GELU is elementwise,
+      // so any row split gives add-then-gelu's bits.
       const std::int64_t m = op.bcast_m;
-      // Same values as add-then-gelu: the sum is a float either way. The
-      // bias index cycles 0..m-1, so walk it blockwise like add_bcast_rows.
-      for (std::int64_t i0 = 0; i0 < n; i0 += m) {
-        const std::int64_t len = std::min(m, n - i0);
-        const float* xr = x + i0;
-        float* yr = out + i0;
-        for (std::int64_t j = 0; j < len; ++j) {
-          yr[j] = kernels::gelu(xr[j] + bias[j]);
-        }
-      }
+      const std::int64_t rows = m > 0 ? op.rows * op.cols / m : 0;
+      kernels::for_each_row(rows, m, [&](std::int64_t r) {
+        kernels::gelu_row(out + r * m, x + r * m, bias, m);
+      });
       return;
     }
     case OpType::kMatmul:

@@ -173,8 +173,10 @@ class Tracer final : public tt::trace::Sink {
         op.rows = rec.output->numel();
         return true;
       case tt::trace::OpKind::kGelu:
+        // Elementwise: the last-dim rows only set the for_each_row grain.
         op.type = OpType::kGelu;
-        op.rows = rec.output->numel();
+        op.cols = out_shape.empty() ? 1 : out_shape.back();
+        op.rows = op.cols > 0 ? rec.output->numel() / op.cols : 0;
         return true;
       case tt::trace::OpKind::kMatmul:
       case tt::trace::OpKind::kMatmulNt: {

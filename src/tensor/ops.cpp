@@ -79,19 +79,15 @@ Tensor binary_op(const char* name, const Tensor& a, const Tensor& b, F fwd,
       });
 }
 
-/// Generic elementwise unary op. dfdx receives (x, y) so ops like tanh can
-/// reuse the forward value.
-template <class F, class Dx>
-Tensor unary_op(const Tensor& a, F fwd, Dx dfdx) {
-  const std::size_t n = static_cast<std::size_t>(a.numel());
-  std::vector<float> out(n);
-  const auto av = a.data();
-  for (std::size_t i = 0; i < n; ++i) out[i] = fwd(av[i]);
-
+/// Autograd result of an elementwise unary op whose forward values `y` are
+/// already computed (per element by unary_op, or in bulk by a row kernel).
+/// dfdx receives (x, y) so ops like tanh can reuse the forward value.
+template <class Dx>
+Tensor unary_result(const Tensor& a, std::vector<float> y, Dx dfdx) {
   NodePtr an = a.node();
   // Capture the forward output for backward closures that want y.
-  auto saved = std::make_shared<std::vector<float>>(out);
-  return make_op_result(a.shape(), std::move(out), {an},
+  auto saved = std::make_shared<std::vector<float>>(y);
+  return make_op_result(a.shape(), std::move(y), {an},
                         [an, saved, dfdx](Node& self) {
                           if (!an->requires_grad) return;
                           auto& ga = an->ensure_grad();
@@ -101,6 +97,16 @@ Tensor unary_op(const Tensor& a, F fwd, Dx dfdx) {
                             ga[i] += g[i] * dfdx(x[i], (*saved)[i]);
                           }
                         });
+}
+
+/// Generic elementwise unary op.
+template <class F, class Dx>
+Tensor unary_op(const Tensor& a, F fwd, Dx dfdx) {
+  const std::size_t n = static_cast<std::size_t>(a.numel());
+  std::vector<float> out(n);
+  const auto av = a.data();
+  for (std::size_t i = 0; i < n; ++i) out[i] = fwd(av[i]);
+  return unary_result(a, std::move(out), dfdx);
 }
 
 }  // namespace
@@ -186,9 +192,16 @@ Tensor relu(const Tensor& a) {
 }
 
 Tensor gelu(const Tensor& a) {
-  Tensor out = unary_op(
-      a, [](float x) { return kernels::gelu(x); },
-      [](float x, float) { return kernels::gelu_grad(x); });
+  // One bulk row-kernel call: the forward compiled plans run.
+  const std::int64_t d = a.rank() == 0 ? 1 : a.shape().back();
+  std::vector<float> y(static_cast<std::size_t>(a.numel()));
+  const auto av = a.data();
+  kernels::for_each_row(d > 0 ? a.numel() / d : 0, d, [&](std::int64_t r) {
+    kernels::gelu_row(y.data() + r * d, av.data() + r * d, nullptr, d);
+  });
+  Tensor out = unary_result(a, std::move(y), [](float x, float) {
+    return kernels::gelu_grad(x);
+  });
   if (trace::active()) {
     trace::record({trace::OpKind::kGelu, "gelu", {a.node()}, out.node()});
   }

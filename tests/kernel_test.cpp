@@ -11,15 +11,25 @@
 //      deterministic and accurate.
 //   4. The autograd ops routed through the kernels (matmul, matmul_nt) still
 //      pass finite-difference gradchecks.
+//   5. The row kernels' vector exp (rows.hpp) stays within 2 ulp of a double
+//      reference, GELU within 2 ulp of |x| of the double tanh form, and
+//      both saturate and propagate NaN as documented. A row's tail gives
+//      each element the same bits as the 4-lane body, and in-place calls
+//      the same bits as out-of-place ones.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "tensor/gradcheck.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
 
@@ -403,4 +413,208 @@ TEST(KernelGradTest, MatmulBackwardThreadCountInvariant) {
   for (std::size_t i = 0; i < gb_runs[0].size(); ++i) {
     ASSERT_EQ(gb_runs[0][i], gb_runs[1][i]) << "dB index " << i;
   }
+}
+
+// ---- row kernels: vector exp, GELU, softmax ----------------------------------
+
+namespace {
+
+/// Spacing of floats at |v| (at least FLT_MIN's), in double.
+double ulp_at(double v) {
+  const float f = std::max(static_cast<float>(std::fabs(v)), FLT_MIN);
+  return static_cast<double>(std::nextafter(f, INFINITY)) -
+         static_cast<double>(f);
+}
+
+/// The tanh-form GELU evaluated in double.
+double gelu_reference(float x) {
+  const double xd = x;
+  return 0.5 * xd *
+         (1.0 + std::tanh(0.7978845608028654 * (xd + 0.044715 * xd * xd * xd)));
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+}  // namespace
+
+TEST(RowKernelTest, ExpWithinTwoUlpOnDenseGrid) {
+  // ~1.8M points, four per exp4 call so every lane is exercised.
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  constexpr double kLo = -87.3, kHi = 88.3, kStep = 1e-4;
+  for (double x0 = kLo; x0 <= kHi; x0 += 4 * kStep) {
+    kn::f32x4 x{};
+    for (int l = 0; l < 4; ++l) {
+      x[l] = static_cast<float>(std::min(x0 + l * kStep, kHi));
+    }
+    const kn::f32x4 y = kn::exp4(x);
+    for (int l = 0; l < 4; ++l) {
+      const double ref = std::exp(static_cast<double>(x[l]));
+      const double err = std::fabs(static_cast<double>(y[l]) - ref) /
+                         ulp_at(ref);
+      if (err > worst) {
+        worst = err;
+        worst_x = x[l];
+      }
+    }
+  }
+  EXPECT_LE(worst, 2.0) << "worst at x = " << worst_x;
+}
+
+TEST(RowKernelTest, ExpSaturatesAndPropagatesNan) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(kn::exp(0.0f), 1.0f);
+  EXPECT_EQ(kn::exp(kInf), kInf);
+  EXPECT_EQ(kn::exp(100.0f), kInf);
+  EXPECT_TRUE(same_bits(kn::exp(-kInf), 0.0f));
+  EXPECT_TRUE(same_bits(kn::exp(-100.0f), 0.0f));
+  EXPECT_TRUE(std::isnan(kn::exp(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_TRUE(std::isfinite(kn::exp(88.3f)));
+  EXPECT_GT(kn::exp(-87.3f), 0.0f);
+}
+
+TEST(RowKernelTest, GeluWithinTwoUlpOfTanhReference) {
+  // Absolute error against 2 ulp of max(|x|, FLT_MIN): GELU's output scale
+  // is |x|, and in the negative tail the true value underflows toward -0.
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  const auto check = [&](float x) {
+    const double err =
+        std::fabs(static_cast<double>(kn::gelu(x)) - gelu_reference(x)) /
+        ulp_at(x);
+    if (err > worst) {
+      worst = err;
+      worst_x = x;
+    }
+  };
+  for (double x = -400.0; x <= 400.0; x += 1e-3) check(static_cast<float>(x));
+  for (int e = -149; e <= 8; ++e) {  // subnormals up to 256, both signs
+    check(std::ldexp(1.0f, e));
+    check(-std::ldexp(1.0f, e));
+    check(std::ldexp(1.5f, e - 1));
+    check(-std::ldexp(1.5f, e - 1));
+  }
+  EXPECT_LE(worst, 2.0) << "worst at x = " << worst_x;
+}
+
+TEST(RowKernelTest, GeluSaturatedTailsAndNan) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  // -inf lands on the saturated negative tail: -0, not -inf * 0 = NaN.
+  EXPECT_TRUE(same_bits(kn::gelu(-kInf), -0.0f));
+  EXPECT_TRUE(same_bits(kn::gelu(-1e30f), -0.0f));
+  EXPECT_EQ(kn::gelu(kInf), kInf);
+  EXPECT_EQ(kn::gelu(1e30f), 1e30f);
+  EXPECT_TRUE(std::isnan(kn::gelu(kNan)));
+  EXPECT_EQ(kn::gelu(0.0f), 0.0f);
+  // The same through the row kernel's lanes and the autograd op.
+  const std::vector<float> x = {-kInf, kInf, kNan, -2.0f, 3.0f};
+  std::vector<float> y(x.size());
+  kn::gelu_row(y.data(), x.data(), nullptr, static_cast<std::int64_t>(x.size()));
+  EXPECT_TRUE(same_bits(y[0], -0.0f));
+  EXPECT_EQ(y[1], kInf);
+  EXPECT_TRUE(std::isnan(y[2]));
+  const Tensor g = tt::gelu(Tensor::from_vector({5}, x));
+  const auto op = g.data();
+  EXPECT_TRUE(same_bits(op[0], -0.0f));
+  EXPECT_EQ(op[1], kInf);
+  EXPECT_TRUE(std::isnan(op[2]));
+  EXPECT_TRUE(same_bits(op[3], y[3]));
+  EXPECT_TRUE(same_bits(op[4], y[4]));
+}
+
+TEST(RowKernelTest, TailGivesTheBitsOfTheVectorBody) {
+  // Each element's reference runs through the 4-lane body: a full block of
+  // four copies. Rows of 1..9 cover tail-only, body-only and body + tail.
+  const std::vector<float> x = random_vec(9, 41);
+  const std::vector<float> bias = random_vec(9, 42);
+  const auto body_gelu = [](float v) {
+    const float block[4] = {v, v, v, v};
+    float out[4];
+    kn::gelu_row(out, block, nullptr, 4);
+    return out[0];
+  };
+  for (std::int64_t n = 1; n <= 9; ++n) {
+    std::vector<float> y(static_cast<std::size_t>(n));
+    kn::gelu_row(y.data(), x.data(), nullptr, n);
+    std::vector<float> yb(static_cast<std::size_t>(n));
+    kn::gelu_row(yb.data(), x.data(), bias.data(), n);
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bits(y[i], body_gelu(x[i]))) << "n=" << n << " i=" << i;
+      EXPECT_TRUE(same_bits(y[i], kn::gelu(x[i]))) << "n=" << n << " i=" << i;
+      EXPECT_TRUE(same_bits(yb[i], body_gelu(x[i] + bias[i])))
+          << "bias n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(RowKernelTest, SoftmaxSumsLaneExponentialsInAscendingOrder) {
+  // Reference: scalar exp (lane 0 of exp4) per element, added one by one
+  // in ascending order. Rows of 1..9 cover the tail; 37 and 131 hold
+  // enough 4-lane blocks that a reassociated sum would change bits.
+  std::vector<float> x = random_vec(131, 43);
+  for (float& v : x) v *= 3.0f;
+  for (const std::int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 131}) {
+    const float* xr = x.data();
+    float mx = xr[0];
+    for (std::int64_t i = 1; i < n; ++i) mx = std::max(mx, xr[i]);
+    std::vector<float> e(static_cast<std::size_t>(n));
+    float sum = 0.0f;
+    for (std::int64_t i = 0; i < n; ++i) {
+      e[i] = kn::exp(xr[i] - mx);
+      sum += e[i];
+    }
+    std::vector<float> sm(static_cast<std::size_t>(n));
+    kn::softmax_row(sm.data(), xr, n);
+    std::vector<float> lsm(static_cast<std::size_t>(n));
+    kn::log_softmax_row(lsm.data(), xr, n);
+    const float inv = 1.0f / sum;
+    const float lse = mx + std::log(sum);
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bits(sm[i], e[i] * inv)) << "n=" << n << " i=" << i;
+      EXPECT_TRUE(same_bits(lsm[i], xr[i] - lse)) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(RowKernelTest, InPlaceMatchesOutOfPlace) {
+  for (const std::int64_t d : {1, 3, 4, 7, 9, 128, 131}) {
+    const std::vector<float> x =
+        random_vec(static_cast<std::size_t>(d), 50 + static_cast<std::uint64_t>(d));
+    const std::vector<float> bias =
+        random_vec(static_cast<std::size_t>(d), 90 + static_cast<std::uint64_t>(d));
+    const std::size_t bytes = static_cast<std::size_t>(d) * sizeof(float);
+    std::vector<float> out(x.size());
+    std::vector<float> in_place = x;
+
+    kn::softmax_row(out.data(), x.data(), d);
+    kn::softmax_row(in_place.data(), in_place.data(), d);
+    EXPECT_EQ(0, std::memcmp(out.data(), in_place.data(), bytes))
+        << "softmax d=" << d;
+
+    in_place = x;
+    kn::log_softmax_row(out.data(), x.data(), d);
+    kn::log_softmax_row(in_place.data(), in_place.data(), d);
+    EXPECT_EQ(0, std::memcmp(out.data(), in_place.data(), bytes))
+        << "log_softmax d=" << d;
+
+    in_place = x;
+    kn::gelu_row(out.data(), x.data(), bias.data(), d);
+    kn::gelu_row(in_place.data(), in_place.data(), bias.data(), d);
+    EXPECT_EQ(0, std::memcmp(out.data(), in_place.data(), bytes))
+        << "gelu d=" << d;
+  }
+}
+
+TEST(RowKernelTest, GeluGradMatchesCentralDifference) {
+  constexpr float kH = 1.0f / 128.0f;  // exact, so x +- h is exact here
+  for (float x = -6.0f; x <= 6.0f; x += 1.0f / 16.0f) {
+    const double numeric = (static_cast<double>(kn::gelu(x + kH)) -
+                            static_cast<double>(kn::gelu(x - kH))) /
+                           (2.0 * kH);
+    EXPECT_NEAR(kn::gelu_grad(x), numeric, 2e-4) << "x = " << x;
+  }
+  // Saturated tails: the derivative settles to 0 and 1, never NaN.
+  EXPECT_EQ(kn::gelu_grad(-30.0f), 0.0f);
+  EXPECT_EQ(kn::gelu_grad(30.0f), 1.0f);
 }

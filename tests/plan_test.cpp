@@ -9,8 +9,10 @@
 // * Each fusion (bias+GELU, QK^T+scale+softmax, residual+LayerNorm) stays
 //   bit-exact when enabled alone, and the all-off plan matches too.
 // * Thread-count invariance: the same plan produces identical bytes at 1,
-//   2 and 8 intra-op threads (the kernels split rows at the same grains as
-//   the dynamic path, whose determinism contract is thread-invariant).
+//   2, 4 and 8 intra-op threads (the kernels split rows at the same grains
+//   as the dynamic path, whose determinism contract is thread-invariant),
+//   and at every batch size 1..8 compiled matches dynamic by memcmp with
+//   both paths at 1 and at 4 threads.
 // * Arena discipline: repeated executions reuse one allocation
 //   (Arena::growths() stays at 1) and produce identical results — the
 //   liveness planner's in-place aliasing is exercised on every run, and the
@@ -292,7 +294,7 @@ TEST(PlanTest, ThreadCountInvariance) {
   const auto compiled =
       plan::Plan::compile(extractor.model(), shape, plan::CompileOptions{});
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     par::set_threads(threads);
     std::vector<float> arena(compiled->arena_bytes() / sizeof(float));
     compiled->run(values.data(), arena.data());
@@ -302,6 +304,39 @@ TEST(PlanTest, ThreadCountInvariance) {
       EXPECT_EQ(0,
                 std::memcmp(got, want.data(), want.size() * sizeof(float)))
           << "slot " << s << " differs at " << threads << " threads";
+    }
+  }
+  par::set_threads(1);
+}
+
+TEST(PlanTest, EveryBatchSizeBitIdenticalAtOneAndFourThreads) {
+  // 8 frames of 32x32 in patches of 8 is 128 tokens per clip, the bench
+  // geometry: from batch 5 up the MLP's GELU rows (and the attention
+  // softmax rows) split into several for_each_row chunks.
+  core::ModelConfig mc = small_config(core::AttentionKind::kDividedST);
+  mc.frames = 8;
+  mc.image_size = 32;
+  mc.dim = 32;
+  const auto extractor = frozen_extractor(mc);
+  for (std::int64_t batch = 1; batch <= 8; ++batch) {
+    const tt::Shape shape{batch, mc.frames, mc.channels, mc.image_size,
+                          mc.image_size};
+    const std::vector<float> values = probe_values(shape);
+    const auto compiled =
+        plan::Plan::compile(extractor.model(), shape, plan::CompileOptions{});
+    for (const std::size_t threads : {1u, 4u}) {
+      par::set_threads(threads);
+      const auto dynamic = dynamic_logits(extractor.model(), shape, values);
+      std::vector<float> arena(compiled->arena_bytes() / sizeof(float));
+      compiled->run(values.data(), arena.data());
+      for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
+        const float* got = compiled->logits_ptr(s, arena.data());
+        const std::vector<float>& want = dynamic[s].node()->data;
+        EXPECT_EQ(0,
+                  std::memcmp(got, want.data(), want.size() * sizeof(float)))
+            << "batch " << batch << ", slot " << s << " differs at "
+            << threads << " threads";
+      }
     }
   }
   par::set_threads(1);

@@ -83,6 +83,12 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     dynamic path because both call the shared kernels in
                     src/tensor/kernels (rows.hpp, gemm.hpp); a transcendental
                     in src/plan/ is a copied kernel that can drift.
+  rows-libm         No std::exp / std::tanh in src/tensor/kernels/rows.hpp.
+                    Every exponential in the row kernels (softmax,
+                    log-softmax, GELU and its gradient) comes from the
+                    branch-free vector exp4 there; a libm call per element is
+                    the scalar hot path that exp4 replaced. std::log and
+                    std::sqrt stay legal: each runs once per row.
 
 Usage: tsdx_lint.py [repo_root]      (exit 0 = clean, 1 = violations)
 If repo_root is omitted it is derived from this script's location, so the
@@ -98,11 +104,13 @@ from pathlib import Path
 # Ops whose domain really is every shape; nothing to validate.
 SHAPE_AGNOSTIC_OPS = {"sum_all"}
 
-# Helpers that perform validation on behalf of their caller. `unary_op` is in
-# this set because elementwise unary ops are shape-agnostic by construction;
-# `matmul_dims` centralizes the matmul/matmul_nt shape contract (ops.cpp).
-VALIDATING_HELPERS = {"binary_op", "unary_op", "classify", "shape_error",
-                      "matmul_dims"}
+# Helpers that perform validation on behalf of their caller. `unary_op` and
+# `unary_result` (its autograd half, which bulk row-kernel ops such as gelu
+# call directly) are in this set because elementwise unary ops are
+# shape-agnostic by construction; `matmul_dims` centralizes the
+# matmul/matmul_nt shape contract (ops.cpp).
+VALIDATING_HELPERS = {"binary_op", "unary_op", "unary_result", "classify",
+                      "shape_error", "matmul_dims"}
 
 VALIDATION_MACROS = ("TSDX_CHECK", "TSDX_SHAPE_ASSERT")
 
@@ -483,6 +491,21 @@ class Linter:
                                "row kernels (tensor/kernels/rows.hpp) so "
                                "compiled and dynamic paths stay bit-identical")
 
+    # ---- rows-libm -----------------------------------------------------------
+
+    def check_rows_libm(self) -> None:
+        path = self.root / "src" / "tensor" / "kernels" / "rows.hpp"
+        if not path.exists():
+            return
+        pat = re.compile(r"\bstd::(?:exp|tanh)\b")
+        clean = strip_comments_and_strings(path.read_text())
+        for lineno, line in enumerate(clean.splitlines(), 1):
+            if pat.search(line):
+                self.error(path, lineno, "rows-libm",
+                           "per-element libm call in the row kernels — use "
+                           "the vector exp4 (std::log / std::sqrt once per "
+                           "row are fine)")
+
     # ---- driver -------------------------------------------------------------
 
     def run(self) -> int:
@@ -497,6 +520,7 @@ class Linter:
         self.check_raw_mutex()
         self.check_unannotated_shared()
         self.check_plan_float_math()
+        self.check_rows_libm()
         if self.errors:
             for e in self.errors:
                 print(e)
