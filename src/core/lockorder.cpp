@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <sstream>
-#include <vector>
 
 #include "obs/log.hpp"
 
@@ -30,10 +29,21 @@ struct Held {
   int frame_count = 0;
 };
 
-/// Per-thread held-lock stack. A vector, not a set: lock nesting is shallow
-/// (2-3 deep in practice) and release order matches LIFO closely enough that
-/// a linear scan wins over any hashed structure.
-thread_local std::vector<Held> t_held;
+/// Locks one thread can hold at once and still be checked: real nesting is
+/// 2-3 deep. Acquisitions beyond it go unrecorded (and so unchecked).
+constexpr std::size_t kMaxHeld = 32;
+
+/// Per-thread held-lock stack. Linear, not a set: lock nesting is shallow
+/// and release order matches LIFO closely enough that a linear scan wins
+/// over any hashed structure. A fixed array, not a vector, so it owns no
+/// heap memory and has no thread-exit destructor: exit-time static
+/// destructors (the intra-op pool's locks its config mutex) run after the
+/// main thread's thread_local destructors and must still find it usable.
+struct HeldStack {
+  Held entries[kMaxHeld];
+  std::size_t size = 0;
+};
+thread_local HeldStack t_held;
 
 /// -1 = unresolved (consult TSDX_LOCK_ORDER on first hook), else 0/1.
 std::atomic<int> g_enabled{-1};
@@ -149,7 +159,8 @@ void on_acquire(const void* mutex, const char* name, Rank rank) {
   entry.frame_count = capture_stack(entry.frames);
   // Check every held lock, not just the most recent: release order is not
   // guaranteed LIFO, so the outranking lock may sit anywhere in the set.
-  for (const Held& held : t_held) {
+  for (std::size_t i = 0; i < t_held.size; ++i) {
+    const Held& held = t_held.entries[i];
     if (held.mutex == mutex || held.rank >= rank) {
       report_violation(held, mutex, name, rank, entry.frames,
                        entry.frame_count);
@@ -158,20 +169,22 @@ void on_acquire(const void* mutex, const char* name, Rank rank) {
       return;
     }
   }
-  t_held.push_back(entry);
+  if (t_held.size < kMaxHeld) t_held.entries[t_held.size++] = entry;
 }
 
 void on_release(const void* mutex) {
-  if (t_held.empty()) return;
   // Scan newest-first: releases are LIFO in the common RAII case.
-  for (std::size_t i = t_held.size(); i-- > 0;) {
-    if (t_held[i].mutex == mutex) {
-      t_held.erase(t_held.begin() + static_cast<std::ptrdiff_t>(i));
+  for (std::size_t i = t_held.size; i-- > 0;) {
+    if (t_held.entries[i].mutex == mutex) {
+      for (std::size_t j = i + 1; j < t_held.size; ++j) {
+        t_held.entries[j - 1] = t_held.entries[j];
+      }
+      --t_held.size;
       return;
     }
   }
 }
 
-std::size_t held_count() { return t_held.size(); }
+std::size_t held_count() { return t_held.size; }
 
 }  // namespace tsdx::lockorder

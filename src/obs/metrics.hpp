@@ -165,8 +165,8 @@ class Histogram {
 };
 
 /// Default bucket bounds for millisecond latencies: 0.1 ms to ~26 s,
-/// doubling. Shared by serve.latency_ms / serve.queue_wait_ms so the two are
-/// directly comparable in an exposition scrape.
+/// doubling. Shared by obs.e2e_ms and the obs.segment_ms.* histograms so the
+/// segments are directly comparable with the total in an exposition scrape.
 const std::vector<double>& default_latency_buckets_ms();
 
 /// Named metric store. Registration is idempotent — the first caller of a

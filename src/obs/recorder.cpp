@@ -2,16 +2,12 @@
 
 #include <sstream>
 
+#include "core/check.hpp"
+#include "obs/slo.hpp"
+
 namespace tsdx::obs {
 
 namespace {
-
-constexpr const char* kSegmentAdmission = "obs.segment_ms.admission";
-constexpr const char* kSegmentQueue = "obs.segment_ms.queue";
-constexpr const char* kSegmentBatchWait = "obs.segment_ms.batch_wait";
-constexpr const char* kSegmentExecute = "obs.segment_ms.execute";
-constexpr const char* kSegmentRetryBackoff = "obs.segment_ms.retry_backoff";
-constexpr const char* kE2e = "obs.e2e_ms";
 
 double ns_to_ms(std::int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
@@ -63,115 +59,120 @@ std::int64_t Recorder::now_ns() const {
       .count();
 }
 
-Recorder::Record* Recorder::slot_for(std::uint64_t handle) {
-  if (handle == 0) return nullptr;
-  Record& record = records_[handle & (kRingCapacity - 1)];
-  // A lapped handle's slot now belongs to a younger record: drop the update.
-  return record.id == handle ? &record : nullptr;
-}
+Recorder::ServerAccounts::ServerAccounts(Registry& registry, SloEngine* slo)
+    : completed(registry.counter("serve.completed")),
+      degraded(registry.counter("serve.degraded_completions")),
+      failed(registry.counter("serve.failed")),
+      deadline_expired(registry.counter("serve.deadline_expired")),
+      shed(registry.counter("serve.shed")),
+      cancelled(registry.counter("serve.cancelled")),
+      rejected(registry.counter("serve.rejected")),
+      e2e(registry.histogram("obs.e2e_ms")),
+      admission(registry.histogram("obs.segment_ms.admission")),
+      queue(registry.histogram("obs.segment_ms.queue")),
+      batch_wait(registry.histogram("obs.segment_ms.batch_wait")),
+      execute(registry.histogram("obs.segment_ms.execute")),
+      slo(slo != nullptr ? *slo : SloEngine::global()) {}
 
-std::uint64_t Recorder::begin(Kind kind, std::uint64_t trace_id) {
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::int64_t now = now_ns();
-  LockGuard lock(mutex_);
-  Record& record = records_[id & (kRingCapacity - 1)];
-  record = Record{};
-  record.id = id;
+Recorder::RouterAccounts::RouterAccounts(Registry& registry)
+    : completed(registry.counter("route.completed")),
+      degraded(registry.counter("route.degraded")),
+      failed(registry.counter("route.failed")),
+      retries(registry.counter("route.retries")),
+      failovers(registry.counter("route.failovers")),
+      retry_backoff(registry.histogram("obs.segment_ms.retry_backoff")) {}
+
+Recorder::Record Recorder::begin(Kind kind, std::uint64_t trace_id) {
+  Record record;
+  record.id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   record.kind = kind;
   record.trace_id = trace_id;
-  record.submit_ns = now;
-  return id;
-}
-
-void Recorder::on_admission(std::uint64_t handle, const char* verdict) {
+  record.submit_ns = now_ns();
   LockGuard lock(mutex_);
-  if (Record* record = slot_for(handle)) record->admission = verdict;
+  records_[record.id & (kRingCapacity - 1)] = record;
+  return record;
 }
 
-void Recorder::on_enqueued(std::uint64_t handle) {
-  const std::int64_t now = now_ns();
+bool Recorder::close(Record& record, Outcome outcome) {
+  if (record.id == 0) return false;
+  record.outcome = outcome;
+  record.done_ns = now_ns();
   LockGuard lock(mutex_);
-  if (Record* record = slot_for(handle)) record->enqueue_ns = now;
+  Record& slot = records_[record.id & (kRingCapacity - 1)];
+  // A lapped slot now belongs to a younger record: leave it be.
+  if (slot.id == record.id) slot = record;
+  return true;
 }
 
-void Recorder::on_dispatch(std::uint64_t handle) {
-  const std::int64_t now = now_ns();
-  LockGuard lock(mutex_);
-  if (Record* record = slot_for(handle)) record->dispatch_ns = now;
-}
-
-void Recorder::on_execute(std::uint64_t handle, std::uint64_t batch_id,
-                          std::uint32_t batch_size, std::int32_t worker) {
-  const std::int64_t now = now_ns();
-  LockGuard lock(mutex_);
-  Record* record = slot_for(handle);
-  if (record == nullptr) return;
-  record->execute_ns = now;
-  record->batch_id = batch_id;
-  record->batch_size = batch_size;
-  record->worker = worker;
-}
-
-void Recorder::set_path(std::uint64_t handle, Path path) {
-  LockGuard lock(mutex_);
-  if (Record* record = slot_for(handle)) record->path = path;
-}
-
-void Recorder::set_replica(std::uint64_t handle, std::int32_t replica) {
-  LockGuard lock(mutex_);
-  if (Record* record = slot_for(handle)) record->replica = replica;
-}
-
-void Recorder::on_retry(std::uint64_t handle, std::int64_t backoff_ns,
-                        bool failover) {
-  LockGuard lock(mutex_);
-  Record* record = slot_for(handle);
-  if (record == nullptr) return;
-  ++record->attempts;
-  if (failover) ++record->failovers;
-  record->backoff_ns += backoff_ns;
-}
-
-void Recorder::finish(std::uint64_t handle, Outcome outcome,
-                      Registry* registry) {
-  const std::int64_t now = now_ns();
-  Record copy;
-  {
-    LockGuard lock(mutex_);
-    Record* record = slot_for(handle);
-    if (record == nullptr) return;
-    record->outcome = outcome;
-    record->done_ns = now;
-    copy = *record;
+std::optional<double> Recorder::finish(Record& record, Outcome outcome,
+                                       const ServerAccounts& accounts) {
+  TSDX_CHECK(record.kind == Kind::kServer,
+             "Recorder::finish: router record closed with server accounts");
+  if (!close(record, outcome)) return std::nullopt;
+  // Derived from the record alone, after the ring lock is released: obs.slo
+  // ranks below obs.recorder.
+  switch (outcome) {
+    case Outcome::kInFlight: return std::nullopt;
+    case Outcome::kDeadlineExpired:
+      accounts.deadline_expired.inc();
+      // An expired request never got an answer, whatever its latency.
+      accounts.slo.on_event(/*ok=*/false, /*latency_ms=*/0.0);
+      return std::nullopt;
+    case Outcome::kShed: accounts.shed.inc(); return std::nullopt;
+    case Outcome::kCancelled: accounts.cancelled.inc(); return std::nullopt;
+    case Outcome::kRejected: accounts.rejected.inc(); return std::nullopt;
+    case Outcome::kCompleted: accounts.completed.inc(); break;
+    case Outcome::kDegraded:
+      accounts.completed.inc();
+      accounts.degraded.inc();
+      break;
+    case Outcome::kFailed: accounts.failed.inc(); break;
   }
-  if (registry == nullptr) return;
-  const bool terminal_served = outcome == Outcome::kCompleted ||
-                               outcome == Outcome::kDegraded ||
-                               outcome == Outcome::kFailed;
-  if (copy.kind == Kind::kServer && terminal_served) {
-    // Segment derivation: a milestone the request never reached contributes
-    // a zero-length segment so the per-segment counts stay equal and the
-    // sums still add up to e2e.
-    const std::int64_t enqueue =
-        copy.enqueue_ns != 0 ? copy.enqueue_ns : copy.submit_ns;
-    const std::int64_t dispatch =
-        copy.dispatch_ns != 0 ? copy.dispatch_ns : enqueue;
-    const std::int64_t execute =
-        copy.execute_ns != 0 ? copy.execute_ns : dispatch;
-    const std::uint64_t ex = copy.trace_id;
-    registry->histogram(kSegmentAdmission)
-        .observe(ns_to_ms(enqueue - copy.submit_ns), ex);
-    registry->histogram(kSegmentQueue).observe(ns_to_ms(dispatch - enqueue),
-                                               ex);
-    registry->histogram(kSegmentBatchWait)
-        .observe(ns_to_ms(execute - dispatch), ex);
-    registry->histogram(kSegmentExecute)
-        .observe(ns_to_ms(copy.done_ns - execute), ex);
-    registry->histogram(kE2e).observe(ns_to_ms(copy.done_ns - copy.submit_ns),
-                                      ex);
-  } else if (copy.kind == Kind::kRouter && copy.backoff_ns > 0) {
-    registry->histogram(kSegmentRetryBackoff)
-        .observe(ns_to_ms(copy.backoff_ns), copy.trace_id);
+  // Segment derivation: a milestone the request never reached contributes a
+  // zero-length segment so the per-segment counts stay equal and the sums
+  // still add up to e2e.
+  const std::int64_t enqueue =
+      record.enqueue_ns != 0 ? record.enqueue_ns : record.submit_ns;
+  const std::int64_t dispatch =
+      record.dispatch_ns != 0 ? record.dispatch_ns : enqueue;
+  const std::int64_t execute =
+      record.execute_ns != 0 ? record.execute_ns : dispatch;
+  const std::uint64_t ex = record.trace_id;
+  const double e2e_ms = ns_to_ms(record.done_ns - record.submit_ns);
+  accounts.admission.observe(ns_to_ms(enqueue - record.submit_ns), ex);
+  accounts.queue.observe(ns_to_ms(dispatch - enqueue), ex);
+  accounts.batch_wait.observe(ns_to_ms(execute - dispatch), ex);
+  accounts.execute.observe(ns_to_ms(record.done_ns - execute), ex);
+  accounts.e2e.observe(e2e_ms, ex);
+  // Failures burn budget; so does a completion slower than the objective
+  // (the engine applies the threshold).
+  accounts.slo.on_event(outcome != Outcome::kFailed, e2e_ms);
+  return e2e_ms;
+}
+
+void Recorder::finish(Record& record, Outcome outcome,
+                      const RouterAccounts& accounts) {
+  TSDX_CHECK(record.kind == Kind::kRouter,
+             "Recorder::finish: server record closed with router accounts");
+  if (!close(record, outcome)) return;
+  switch (outcome) {
+    case Outcome::kCompleted: accounts.completed.inc(); break;
+    case Outcome::kDegraded:
+      accounts.completed.inc();
+      accounts.degraded.inc();
+      break;
+    case Outcome::kFailed:
+    case Outcome::kDeadlineExpired:
+    case Outcome::kCancelled: accounts.failed.inc(); break;
+    case Outcome::kInFlight:
+    case Outcome::kShed:
+    case Outcome::kRejected: break;
+  }
+  accounts.retries.inc(record.attempts);
+  accounts.failovers.inc(record.failovers);
+  if (record.backoff_ns > 0) {
+    accounts.retry_backoff.observe(ns_to_ms(record.backoff_ns),
+                                   record.trace_id);
   }
 }
 

@@ -12,18 +12,21 @@
 // trace id 0; the record is still written, it just cannot be joined against
 // spans).
 //
-// Hooks are keyed by an opaque handle returned from begin(). Handles are
-// dense, so a slot in the ring is overwritten exactly when its id has been
-// lapped; hooks against a lapped (stale) handle are silently dropped — the
-// recorder is a diagnostic ring, not a ledger. Handle 0 is the inert
-// no-record handle: every hook is a no-op on it, which lets callers thread
-// the handle unconditionally.
+// The request owns its record (DESIGN.md §17): begin() hands back a Record
+// by value, the serving layer writes milestones, batch, path, replica and
+// retries into it as plain field writes, and finish() is the one terminal
+// sink per hop. begin() publishes the record's begin-time fields to the ring
+// so in-flight requests show up in dumps; finish() publishes the closed
+// record unless its slot has been lapped (the ring is a diagnostic buffer,
+// not a ledger) and *always* derives the hop's accounting from it, so a
+// lapped ring can never lose a count. A record with id 0 (never begun) is
+// inert: finish() ignores it.
 //
-// Segment model (DESIGN.md §17): each record carries nanosecond timestamps
-// (relative to the recorder's construction) for submit / enqueue / dispatch
-// (picked out of the queue into a batch) / execute (batch extraction began)
-// / done, plus accumulated retry backoff for router-level records. finish()
-// derives the named segments —
+// Segment model: each record carries nanosecond timestamps (relative to the
+// recorder's construction) for submit / enqueue / dispatch (picked out of
+// the queue into a batch) / execute (batch extraction began) / done, plus
+// accumulated retry backoff for router-level records. finish() derives the
+// named segments —
 //
 //   admission   = enqueue  - submit     (submit-side checks + queue push)
 //   queue       = dispatch - enqueue    (waiting in the bounded queue)
@@ -33,18 +36,18 @@
 //
 // — and observes them into obs.segment_ms.* histograms (with the record's
 // trace ID as the exemplar) plus obs.e2e_ms for the total, so
-// admission + queue + batch_wait + execute ≈ e2e by construction; the
+// admission + queue + batch_wait + execute == e2e by construction; the
 // attribution gate in tools/obs_report.py holds the residue under 5%.
-// Server-side records with terminal outcomes completed/failed/degraded feed
-// the histograms; expired/shed/rejected/cancelled records keep their
-// timeline for dumps but are excluded so obs.e2e_ms stays comparable to
-// serve.latency_ms (which only sees dispatched work).
+// Server records with terminal outcomes completed/degraded/failed feed the
+// histograms; expired/shed/rejected/cancelled records keep their timeline
+// for dumps but never reached a worker's answer, so they stay out.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +55,8 @@
 #include "obs/metrics.hpp"
 
 namespace tsdx::obs {
+
+class SloEngine;
 
 class Recorder {
  public:
@@ -79,7 +84,7 @@ class Recorder {
   /// One request's flight record. POD-ish by design: snapshot() copies the
   /// ring wholesale.
   struct Record {
-    std::uint64_t id = 0;  ///< dense handle; 0 = empty slot
+    std::uint64_t id = 0;  ///< dense, from begin(); 0 = never begun
     std::uint64_t trace_id = 0;
     Kind kind = Kind::kServer;
     Outcome outcome = Outcome::kInFlight;
@@ -89,7 +94,7 @@ class Recorder {
     std::uint32_t batch_size = 0;
     std::int32_t worker = -1;
     std::int32_t replica = -1;
-    std::uint32_t attempts = 0;   ///< dispatch attempts (router)
+    std::uint32_t attempts = 0;   ///< retries dispatched (router)
     std::uint32_t failovers = 0;  ///< retries that changed replica
     // Timeline: ns since the recorder's epoch; 0 = milestone not reached.
     std::int64_t submit_ns = 0;
@@ -109,42 +114,60 @@ class Recorder {
   /// The process-wide recorder every serving layer reports into.
   static Recorder& global();
 
-  /// Open a record; returns its handle (never 0). The milestone clock starts
-  /// here (submit_ns).
-  std::uint64_t begin(Kind kind, std::uint64_t trace_id)
+  /// The registry series a server hop's closed records derive into, bound
+  /// once so finish() does no per-request name lookups. ServerStats reads
+  /// its outcome fields back off the same counters.
+  struct ServerAccounts {
+    /// `slo` receives the records' SLO events; null means
+    /// SloEngine::global().
+    explicit ServerAccounts(Registry& registry, SloEngine* slo = nullptr);
+    Counter& completed;         ///< serve.completed (degraded included)
+    Counter& degraded;          ///< serve.degraded_completions
+    Counter& failed;            ///< serve.failed
+    Counter& deadline_expired;  ///< serve.deadline_expired
+    Counter& shed;              ///< serve.shed
+    Counter& cancelled;         ///< serve.cancelled
+    Counter& rejected;          ///< serve.rejected
+    Histogram& e2e;             ///< obs.e2e_ms
+    Histogram& admission;       ///< obs.segment_ms.admission
+    Histogram& queue;           ///< obs.segment_ms.queue
+    Histogram& batch_wait;      ///< obs.segment_ms.batch_wait
+    Histogram& execute;         ///< obs.segment_ms.execute
+    SloEngine& slo;
+  };
+
+  /// The router hop's series, bound once like ServerAccounts; RouterStats
+  /// reads them back.
+  struct RouterAccounts {
+    explicit RouterAccounts(Registry& registry);
+    Counter& completed;  ///< route.completed (degraded included)
+    Counter& degraded;   ///< route.degraded
+    Counter& failed;     ///< route.failed (expired and cancelled included)
+    Counter& retries;    ///< route.retries: Record::attempts summed
+    Counter& failovers;  ///< route.failovers: Record::failovers summed
+    Histogram& retry_backoff;  ///< obs.segment_ms.retry_backoff
+  };
+
+  /// Open a record (id never 0; the milestone clock starts here, at
+  /// submit_ns) and publish its begin-time fields to the ring.
+  Record begin(Kind kind, std::uint64_t trace_id) TSDX_EXCLUDES(mutex_);
+
+  /// Close a server record: stamps outcome and done_ns, publishes it unless
+  /// lapped, then derives serve.<outcome> counters, the segment timeline and
+  /// obs.e2e_ms (trace ID as the bucket exemplar), and the SLO event — good
+  /// iff completed/degraded within the objective; failed and
+  /// deadline-expired are bad; shed/cancelled/rejected send none. Returns
+  /// the e2e milliseconds when the record fed obs.e2e_ms.
+  std::optional<double> finish(Record& record, Outcome outcome,
+                               const ServerAccounts& accounts)
+      TSDX_EXCLUDES(mutex_);
+  /// Close a router record the same way, deriving route.* counters (expired
+  /// and cancelled count as failed; rejected is admission's to count) and
+  /// obs.segment_ms.retry_backoff when any backoff accumulated.
+  void finish(Record& record, Outcome outcome, const RouterAccounts& accounts)
       TSDX_EXCLUDES(mutex_);
 
-  /// Router: the admission verdict, as the static string from
-  /// serve::to_string(AdmitVerdict).
-  void on_admission(std::uint64_t handle, const char* verdict)
-      TSDX_EXCLUDES(mutex_);
-  /// Server: the request entered the bounded queue.
-  void on_enqueued(std::uint64_t handle) TSDX_EXCLUDES(mutex_);
-  /// Server: the request was picked out of the queue into a forming batch.
-  void on_dispatch(std::uint64_t handle) TSDX_EXCLUDES(mutex_);
-  /// Server: batch execution is starting; identifies the batch and worker.
-  void on_execute(std::uint64_t handle, std::uint64_t batch_id,
-                  std::uint32_t batch_size, std::int32_t worker)
-      TSDX_EXCLUDES(mutex_);
-  /// Server: which execution path produced the answer.
-  void set_path(std::uint64_t handle, Path path) TSDX_EXCLUDES(mutex_);
-  /// Router: the replica the ticket is (currently) dispatched to.
-  void set_replica(std::uint64_t handle, std::int32_t replica)
-      TSDX_EXCLUDES(mutex_);
-  /// Router: a retry is being scheduled after `backoff_ns` of sleep;
-  /// `failover` when it will run on a different replica than the failure.
-  void on_retry(std::uint64_t handle, std::int64_t backoff_ns, bool failover)
-      TSDX_EXCLUDES(mutex_);
-
-  /// Close the record. For kServer records with outcome
-  /// completed/degraded/failed and a non-null registry, derives the segment
-  /// timeline into obs.segment_ms.{admission,queue,batch_wait,execute} and
-  /// obs.e2e_ms (trace ID attached as the bucket exemplar); kRouter records
-  /// contribute obs.segment_ms.retry_backoff when any backoff accumulated.
-  void finish(std::uint64_t handle, Outcome outcome,
-              Registry* registry = nullptr) TSDX_EXCLUDES(mutex_);
-
-  /// Process-unique batch id (dense, starts at 1) for on_execute.
+  /// Process-unique batch id (dense, starts at 1) for Record::batch_id.
   std::uint64_t mint_batch_id() {
     return next_batch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
@@ -161,8 +184,9 @@ class Recorder {
   std::int64_t now_ns() const;
 
  private:
-  /// The slot for `handle`, or nullptr when the ring has lapped it.
-  Record* slot_for(std::uint64_t handle) TSDX_REQUIRES(mutex_);
+  /// Stamp the terminal fields and publish the record unless the ring has
+  /// lapped its slot. False for the inert record (id 0).
+  bool close(Record& record, Outcome outcome) TSDX_EXCLUDES(mutex_);
 
   mutable Mutex mutex_{"obs.recorder", lockorder::Rank::kRecorder};
   std::vector<Record> records_ TSDX_GUARDED_BY(mutex_);

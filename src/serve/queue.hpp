@@ -40,6 +40,10 @@ const char* to_string(OverflowPolicy policy);
 template <typename T>
 class BoundedQueue {
  public:
+  struct NoInsertHook {
+    void operator()(T& /*item*/) const {}
+  };
+
   BoundedQueue(std::size_t capacity, OverflowPolicy policy)
       : capacity_(capacity), policy_(policy) {
     TSDX_CHECK(capacity_ >= 1, "BoundedQueue: capacity must be >= 1, got ",
@@ -49,8 +53,13 @@ class BoundedQueue {
   /// Enqueue one item, applying the overflow policy when at capacity.
   /// Returns the evicted item under kShedOldest (the caller must fail it);
   /// std::nullopt otherwise. Throws QueueFullError under kReject when full
-  /// and ServerStoppedError if the queue has been closed.
-  std::optional<T> push(T item) TSDX_EXCLUDES(mutex_) {
+  /// and ServerStoppedError if the queue has been closed; on a throw `item`
+  /// is left untouched, so the caller still owns it. `on_insert(item)` runs
+  /// under the queue lock once the item has won its place, just before it
+  /// becomes poppable (the server stamps the enqueue milestone there).
+  template <typename OnInsert = NoInsertHook>
+  std::optional<T> push(T&& item, OnInsert&& on_insert = OnInsert{})
+      TSDX_EXCLUDES(mutex_) {
     UniqueLock lock(mutex_);
     if (closed_) throw ServerStoppedError("push on closed queue");
     std::optional<T> shed;
@@ -71,6 +80,7 @@ class BoundedQueue {
           break;
       }
     }
+    on_insert(item);
     items_.push_back(std::move(item));
     not_empty_.notify_one();
     return shed;

@@ -26,11 +26,7 @@ Router::Router(std::shared_ptr<const core::ScenarioExtractor> extractor,
           std::make_unique<AdmissionController>(config_.admission, *registry_)),
       relay_queue_(std::max<std::size_t>(1, config_.relay_queue_capacity),
                    OverflowPolicy::kBlock),
-      completed_counter_(registry_->counter("route.completed")),
-      failed_counter_(registry_->counter("route.failed")),
-      degraded_counter_(registry_->counter("route.degraded")),
-      retries_counter_(registry_->counter("route.retries")),
-      failovers_counter_(registry_->counter("route.failovers")) {
+      accounts_(*registry_) {
   TSDX_CHECK(config_.replicas >= 1, "Router: need at least one replica, got ",
              config_.replicas);
   TSDX_CHECK(config_.max_attempts >= 1,
@@ -67,13 +63,14 @@ std::future<core::ExtractionResult> Router::submit(
   // Mint the trace before admission so even a shed request leaves a
   // flight-recorder record carrying the verdict.
   const obs::trace::Context trace = obs::trace::mint();
-  auto& recorder = obs::Recorder::global();
-  const std::uint64_t rec =
-      recorder.begin(obs::Recorder::Kind::kRouter, trace.trace_id);
+  obs::Recorder::Record rec =
+      obs::Recorder::global().begin(obs::Recorder::Kind::kRouter,
+                                    trace.trace_id);
   const AdmitVerdict verdict = admission_->admit(tenant, now);
-  recorder.on_admission(rec, to_string(verdict));
+  rec.admission = to_string(verdict);
   if (verdict != AdmitVerdict::kAdmitted) {
-    recorder.finish(rec, obs::Recorder::Outcome::kRejected, registry_.get());
+    obs::Recorder::global().finish(rec, obs::Recorder::Outcome::kRejected,
+                                   accounts_);
     throw AdmissionRejectedError("admission rejected tenant '" + tenant +
                                  "': " + to_string(verdict));
   }
@@ -95,21 +92,17 @@ std::future<core::ExtractionResult> Router::submit(
     resolve_fleet_dark(ticket, dispatch_error);
     return future;
   }
-  const std::size_t target = ticket.replica;
   try {
     relay_queue_.push(std::move(ticket));
   } catch (const ServerStoppedError&) {
     // shutdown() closed the relay queue between our accepting_ check and
-    // the push. The inner request is already in flight on the replica (the
-    // replica's own shutdown resolves it); release the router-side
-    // accounting and report teardown to the caller.
-    replicas_[target]->on_expired();
-    admission_->on_done(tenant);
-    {
-      LockGuard lock(router_mutex_);
-      if (pending_ > 0) --pending_;
-      pending_cv_.notify_all();
-    }
+    // the push, which left the ticket with us. The inner request is already
+    // in flight on the replica (the replica's own shutdown resolves it);
+    // close the ticket as cancelled — counted failed, so route.admitted
+    // still balances — and report teardown to the caller.
+    replicas_[ticket.replica]->on_expired();
+    fail_ticket(ticket, std::current_exception(),
+                obs::Recorder::Outcome::kCancelled);
     throw;
   }
   return future;
@@ -173,8 +166,7 @@ Router::DispatchOutcome Router::dispatch(Ticket& ticket,
       replica.on_dispatch();
       ticket.inner = std::move(inner);
       ticket.replica = index;
-      obs::Recorder::global().set_replica(ticket.rec,
-                                          static_cast<std::int32_t>(index));
+      ticket.rec.replica = static_cast<std::int32_t>(index);
       return DispatchOutcome::kDispatched;
     } catch (const QueueFullError&) {
       if (last_error) *last_error = std::current_exception();
@@ -270,14 +262,12 @@ void Router::service(Ticket& ticket) {
     ticket.attempt += 1;
     switch (dispatch(ticket, failed_replica, true, nullptr)) {
       case DispatchOutcome::kDispatched:
-        retries_counter_.inc();
-        if (ticket.replica != failed_replica) failovers_counter_.inc();
-        obs::Recorder::global().on_retry(
-            ticket.rec,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(backoff)
-                    .count()),
-            /*failover=*/ticket.replica != failed_replica);
+        // route.retries / route.failovers derive from these at close.
+        ++ticket.rec.attempts;
+        if (ticket.replica != failed_replica) ++ticket.rec.failovers;
+        ticket.rec.backoff_ns +=
+            std::chrono::duration_cast<std::chrono::nanoseconds>(backoff)
+                .count();
         break;  // await the new inner future
       case DispatchOutcome::kNoCandidate:
         resolve_fleet_dark(ticket, error);
@@ -332,30 +322,26 @@ void Router::resolve_fleet_dark(Ticket& ticket, std::exception_ptr cause) {
 void Router::complete_ticket(Ticket& ticket, core::ExtractionResult result) {
   const bool degraded =
       !result.warnings.empty() && result.warnings.front() == kDegradedWarning;
-  completed_counter_.inc();
-  if (degraded) degraded_counter_.inc();
-  obs::trace::record_span("route.request", ticket.trace, ticket.submit_time,
-                          Clock::now());
-  obs::Recorder::global().finish(ticket.rec,
-                                 degraded
-                                     ? obs::Recorder::Outcome::kDegraded
-                                     : obs::Recorder::Outcome::kCompleted,
-                                 registry_.get());
+  close_ticket(ticket, degraded ? obs::Recorder::Outcome::kDegraded
+                                : obs::Recorder::Outcome::kCompleted);
   ticket.promise.set_value(std::move(result));
-  finish_ticket(ticket);
+  release_ticket(ticket);
 }
 
 void Router::fail_ticket(Ticket& ticket, std::exception_ptr error,
                          obs::Recorder::Outcome outcome) {
-  failed_counter_.inc();
-  obs::trace::record_span("route.request", ticket.trace, ticket.submit_time,
-                          Clock::now());
-  obs::Recorder::global().finish(ticket.rec, outcome, registry_.get());
+  close_ticket(ticket, outcome);
   ticket.promise.set_exception(std::move(error));
-  finish_ticket(ticket);
+  release_ticket(ticket);
 }
 
-void Router::finish_ticket(Ticket& ticket) {
+void Router::close_ticket(Ticket& ticket, obs::Recorder::Outcome outcome) {
+  obs::trace::record_span("route.request", ticket.trace, ticket.submit_time,
+                          Clock::now());
+  obs::Recorder::global().finish(ticket.rec, outcome, accounts_);
+}
+
+void Router::release_ticket(Ticket& ticket) {
   admission_->on_done(ticket.tenant);
   LockGuard lock(router_mutex_);
   if (pending_ > 0) --pending_;
@@ -490,11 +476,11 @@ RouterStats Router::stats() const {
   RouterStats stats;
   stats.admitted = admission_->admitted();
   stats.shed = admission_->rejected();
-  stats.completed = completed_counter_.value();
-  stats.failed = failed_counter_.value();
-  stats.degraded = degraded_counter_.value();
-  stats.retries = retries_counter_.value();
-  stats.failovers = failovers_counter_.value();
+  stats.completed = accounts_.completed.value();
+  stats.failed = accounts_.failed.value();
+  stats.degraded = accounts_.degraded.value();
+  stats.retries = accounts_.retries.value();
+  stats.failovers = accounts_.failovers.value();
   {
     LockGuard lock(router_mutex_);
     stats.pending = pending_;

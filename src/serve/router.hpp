@@ -204,7 +204,10 @@ class Router {
     std::size_t attempt = 1;  ///< dispatch attempts made
     Clock::time_point submit_time;
     obs::trace::Context trace;
-    std::uint64_t rec = 0;  ///< router-hop flight-recorder handle
+    /// The router hop's flight record: admission verdict, replica and
+    /// retries are plain field writes, and close_ticket() hands it to
+    /// obs::Recorder::finish — the one source of the route.* counts.
+    obs::Recorder::Record rec;
   };
 
   enum class DispatchOutcome {
@@ -248,8 +251,12 @@ class Router {
   void fail_ticket(
       Ticket& ticket, std::exception_ptr error,
       obs::Recorder::Outcome outcome = obs::Recorder::Outcome::kFailed);
+  /// The close path complete_ticket and fail_ticket share, before they
+  /// resolve the promise: records the route.request span and closes the
+  /// ticket's record through obs::Recorder::finish.
+  void close_ticket(Ticket& ticket, obs::Recorder::Outcome outcome);
   /// Admission release + pending decrement, after the promise is resolved.
-  void finish_ticket(Ticket& ticket) TSDX_EXCLUDES(router_mutex_);
+  void release_ticket(Ticket& ticket) TSDX_EXCLUDES(router_mutex_);
 
   void pending_inc() TSDX_EXCLUDES(router_mutex_);
   void wait_pending_zero() TSDX_EXCLUDES(router_mutex_);
@@ -263,11 +270,8 @@ class Router {
   ThreadPool relays_;
   ThreadPool prober_;
 
-  obs::Counter& completed_counter_;
-  obs::Counter& failed_counter_;
-  obs::Counter& degraded_counter_;
-  obs::Counter& retries_counter_;
-  obs::Counter& failovers_counter_;
+  /// The route.* series Recorder::finish derives closed records into.
+  const obs::Recorder::RouterAccounts accounts_;
 
   std::atomic<bool> accepting_{true};
   /// Set by shutdown(): disables retries so leftover tickets resolve fast.

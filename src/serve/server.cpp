@@ -122,16 +122,17 @@ std::future<core::ExtractionResult> InferenceServer::submit(
   request.submit_time = Clock::now();
   request.deadline = deadline;
   std::future<core::ExtractionResult> future = request.promise.get_future();
+  {
+    LockGuard lock(pending_mutex_);
+    ++pending_;
+  }
 
   // A deadline already in the past fails fast: the request is accounted for
   // (submitted + deadline_expired) but never reaches the queue, so it
   // cannot displace live work.
   if (deadline && *deadline <= request.submit_time) {
     stats_.on_submit(queue_.size());
-    stats_.on_deadline_expired();
-    obs::Recorder::global().finish(request.rec,
-                                   obs::Recorder::Outcome::kDeadlineExpired,
-                                   registry_.get());
+    close_request(request, obs::Recorder::Outcome::kDeadlineExpired);
     obs::SloEngine::global().note_anomaly(obs::Anomaly::kDeadlineMiss,
                                           request.trace.trace_id);
     request.promise.set_exception(std::make_exception_ptr(
@@ -139,47 +140,28 @@ std::future<core::ExtractionResult> InferenceServer::submit(
     return future;
   }
 
-  {
-    LockGuard lock(pending_mutex_);
-    ++pending_;
-  }
-  const std::uint64_t rec = request.rec;  // survives the move into the queue
   std::optional<Request> shed;
   try {
-    shed = queue_.push(std::move(request));
-  } catch (const QueueFullError&) {
-    stats_.on_reject();
-    obs::Recorder::global().finish(rec, obs::Recorder::Outcome::kRejected,
-                                   registry_.get());
-    {
-      LockGuard lock(pending_mutex_);
-      --pending_;
-    }
-    pending_cv_.notify_all();
-    throw;
-  } catch (const ServerStoppedError&) {
-    // A kBlock push parked on a full queue can be woken by shutdown().
-    obs::Recorder::global().finish(rec, obs::Recorder::Outcome::kCancelled,
-                                   registry_.get());
-    {
-      LockGuard lock(pending_mutex_);
-      --pending_;
-    }
-    pending_cv_.notify_all();
+    shed = queue_.push(std::move(request), [](Request& queued) {
+      queued.rec.enqueue_ns = obs::Recorder::global().now_ns();
+    });
+  } catch (...) {
+    // QueueFullError (kReject), or ServerStoppedError to a kBlock push
+    // parked on a full queue that shutdown() woke. Either way the client
+    // gets this throw instead of a future, and the push left the request
+    // with us: it counts as rejected.
+    close_request(request, obs::Recorder::Outcome::kRejected);
     throw;
   }
-  obs::Recorder::global().on_enqueued(rec);
   const std::size_t depth = queue_.size();
   stats_.on_submit(depth);
   circuit_.on_queue_depth(depth, config_.queue_capacity, Clock::now());
 
   if (shed) {
-    stats_.on_shed();
-    fail_request(*shed,
-                 std::make_exception_ptr(QueueFullError(
-                     "request shed by a newer submission "
-                     "(OverflowPolicy::kShedOldest)")),
-                 obs::Recorder::Outcome::kShed);
+    close_request(*shed, obs::Recorder::Outcome::kShed,
+                  std::make_exception_ptr(QueueFullError(
+                      "request shed by a newer submission "
+                      "(OverflowPolicy::kShedOldest)")));
   }
   return future;
 }
@@ -248,7 +230,7 @@ std::vector<InferenceServer::Request> InferenceServer::fill_batch(
   batch.reserve(config_.max_batch);
   const auto window_deadline = Clock::now() + config_.batch_window;
   if (!expire_if_due(first, Clock::now())) {
-    obs::Recorder::global().on_dispatch(first.rec);
+    first.rec.dispatch_ns = obs::Recorder::global().now_ns();
     batch.push_back(std::move(first));
   }
   while (batch.size() < config_.max_batch) {
@@ -261,7 +243,7 @@ std::vector<InferenceServer::Request> InferenceServer::fill_batch(
     // deadline has passed is failed immediately and never takes a slot a
     // live request could use.
     if (expire_if_due(*more, Clock::now())) continue;
-    obs::Recorder::global().on_dispatch(more->rec);
+    more->rec.dispatch_ns = obs::Recorder::global().now_ns();
     batch.push_back(std::move(*more));
   }
   return batch;
@@ -284,8 +266,7 @@ void InferenceServer::process_batch(const Replica& replica,
   // are recorded with explicit endpoints under each request's own context.
   obs::trace::ContextGuard trace_guard(live.front().trace);
   TSDX_TRACE_SPAN("serve.batch");
-  for (Request& request : live) {
-    stats_.on_dispatch(now - request.submit_time, request.trace.trace_id);
+  for (const Request& request : live) {
     obs::trace::record_span("serve.queue_wait", request.trace,
                             request.submit_time, now);
   }
@@ -317,10 +298,13 @@ void InferenceServer::process_batch(const Replica& replica,
     // (each geometry group is its own dispatch).
     obs::Recorder& recorder = obs::Recorder::global();
     const std::uint64_t batch_id = recorder.mint_batch_id();
+    const std::int64_t execute_ns = recorder.now_ns();
     for (const std::size_t i : group) {
-      recorder.on_execute(live[i].rec, batch_id,
-                          static_cast<std::uint32_t>(group.size()),
-                          static_cast<std::int32_t>(replica.worker_index));
+      obs::Recorder::Record& rec = live[i].rec;
+      rec.execute_ns = execute_ns;
+      rec.batch_id = batch_id;
+      rec.batch_size = static_cast<std::uint32_t>(group.size());
+      rec.worker = static_cast<std::int32_t>(replica.worker_index);
     }
     std::size_t resolved = 0;
     try {
@@ -341,7 +325,7 @@ void InferenceServer::process_batch(const Replica& replica,
                   replica.plan_executor->last_used_plan()
               ? obs::Recorder::Path::kPlan
               : obs::Recorder::Path::kDynamic;
-      for (const std::size_t i : group) recorder.set_path(live[i].rec, path);
+      for (const std::size_t i : group) live[i].rec.path = path;
       TSDX_CHECK(results.size() == group.size(),
                  "InferenceServer: extract_batch returned ", results.size(),
                  " results for a batch of ", group.size());
@@ -354,7 +338,7 @@ void InferenceServer::process_batch(const Replica& replica,
       for (; resolved < group.size(); ++resolved) {
         Request& request = live[group[resolved]];
         notify_result(request, results[resolved], /*degraded=*/false);
-        finish_request(request, DoneKind::kCompleted);
+        close_request(request, obs::Recorder::Outcome::kCompleted);
         request.promise.set_value(std::move(results[resolved]));
       }
     } catch (...) {
@@ -366,15 +350,11 @@ void InferenceServer::process_batch(const Replica& replica,
       stats_.on_worker_fault();
       circuit_.on_fault(Clock::now());
       for (std::size_t i = resolved; i < group.size(); ++i) {
-        Request& request = live[group[i]];
-        finish_request(request, DoneKind::kFailed);
-        request.promise.set_exception(error);
+        close_request(live[group[i]], obs::Recorder::Outcome::kFailed, error);
       }
       for (std::size_t g2 = g + 1; g2 < groups.size(); ++g2) {
         for (const std::size_t i : groups[g2]) {
-          Request& request = live[i];
-          finish_request(request, DoneKind::kFailed);
-          request.promise.set_exception(error);
+          close_request(live[i], obs::Recorder::Outcome::kFailed, error);
         }
       }
       throw WorkerFault{};
@@ -385,32 +365,29 @@ void InferenceServer::process_batch(const Replica& replica,
 void InferenceServer::process_degraded(std::vector<Request>& requests) {
   // The circuit only routes here when a fallback is configured.
   for (Request& request : requests) {
-    obs::Recorder::global().set_path(request.rec,
-                                     obs::Recorder::Path::kFallback);
+    request.rec.path = obs::Recorder::Path::kFallback;
     try {
       core::ExtractionResult result = config_.fallback->extract(request.clip);
       // Accounting before resolution (same visibility contract as
       // process_batch): a client that got a degraded answer can rely on
       // degraded_completions already counting it.
       notify_result(request, result, /*degraded=*/true);
-      finish_request(request, DoneKind::kDegraded);
+      close_request(request, obs::Recorder::Outcome::kDegraded);
       request.promise.set_value(std::move(result));
     } catch (...) {
       // A fallback error fails only this request — degraded mode must not
       // take down the worker that is keeping the service answering.
-      finish_request(request, DoneKind::kFailed);
-      request.promise.set_exception(std::current_exception());
+      close_request(request, obs::Recorder::Outcome::kFailed,
+                    std::current_exception());
     }
   }
 }
 
 bool InferenceServer::expire_if_due(Request& request, Clock::time_point now) {
   if (!request.deadline || now < *request.deadline) return false;
-  stats_.on_deadline_expired();
-  fail_request(request,
-               std::make_exception_ptr(DeadlineExceededError(
-                   "request deadline expired before dispatch")),
-               obs::Recorder::Outcome::kDeadlineExpired);
+  close_request(request, obs::Recorder::Outcome::kDeadlineExpired,
+                std::make_exception_ptr(DeadlineExceededError(
+                    "request deadline expired before dispatch")));
   // A missed deadline is the SLO engine's flagship anomaly: snapshot the
   // recorder + span state while the evidence is still in the rings.
   obs::SloEngine::global().note_anomaly(obs::Anomaly::kDeadlineMiss,
@@ -431,38 +408,21 @@ void InferenceServer::notify_result(const Request& request,
   }
 }
 
-void InferenceServer::finish_request(Request& request, DoneKind kind) {
-  const auto now = Clock::now();
-  stats_.on_done(now - request.submit_time, kind, request.trace.trace_id);
-  obs::trace::record_span("serve.request", request.trace, request.submit_time,
-                          now);
-  obs::Recorder::Outcome outcome = obs::Recorder::Outcome::kCompleted;
-  switch (kind) {
-    case DoneKind::kCompleted: outcome = obs::Recorder::Outcome::kCompleted;
-      break;
-    case DoneKind::kDegraded: outcome = obs::Recorder::Outcome::kDegraded;
-      break;
-    case DoneKind::kFailed: outcome = obs::Recorder::Outcome::kFailed; break;
-  }
-  obs::Recorder::global().finish(request.rec, outcome, registry_.get());
-  {
-    LockGuard lock(pending_mutex_);
-    --pending_;
-  }
-  pending_cv_.notify_all();
-}
-
-void InferenceServer::fail_request(Request& request, std::exception_ptr error,
-                                   obs::Recorder::Outcome outcome) {
+void InferenceServer::close_request(Request& request,
+                                    obs::Recorder::Outcome outcome,
+                                    std::exception_ptr error) {
   obs::trace::record_span("serve.request", request.trace, request.submit_time,
                           Clock::now());
-  obs::Recorder::global().finish(request.rec, outcome, registry_.get());
-  request.promise.set_exception(std::move(error));
+  if (const std::optional<double> e2e_ms = obs::Recorder::global().finish(
+          request.rec, outcome, stats_.accounts())) {
+    stats_.on_latency(*e2e_ms);
+  }
   {
     LockGuard lock(pending_mutex_);
     --pending_;
   }
   pending_cv_.notify_all();
+  if (error != nullptr) request.promise.set_exception(std::move(error));
 }
 
 void InferenceServer::process_inline() {
@@ -514,11 +474,10 @@ void InferenceServer::shutdown() {
   // a replacement could rescue).
   stop_supervisor();
   std::vector<Request> leftover = queue_.close_and_drain();
-  stats_.on_cancel(leftover.size());
   const std::exception_ptr stopped = std::make_exception_ptr(
       ServerStoppedError("server shut down before the request was dispatched"));
   for (Request& request : leftover) {
-    fail_request(request, stopped, obs::Recorder::Outcome::kCancelled);
+    close_request(request, obs::Recorder::Outcome::kCancelled, stopped);
   }
   // Workers finish their in-flight batch, see the closed-and-empty queue,
   // and exit; join() then waits for exactly that.

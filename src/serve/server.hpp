@@ -216,8 +216,11 @@ class InferenceServer {
     /// already runs under a trace (the Router's dispatch), which the server
     /// adopts so the routed hop and the replica hop share one trace ID.
     obs::trace::Context trace;
-    /// Flight-recorder handle (obs::Recorder), opened at submit().
-    std::uint64_t rec = 0;
+    /// The request's flight record, opened at submit(): milestones, batch,
+    /// worker and path are plain field writes, and close_request() hands it
+    /// to obs::Recorder::finish — the one source of this request's
+    /// accounting.
+    obs::Recorder::Record rec;
   };
 
   /// Internal signal: a batch threw out of extract_batch. The worker's loop
@@ -265,12 +268,16 @@ class InferenceServer {
   /// swallowing any exception the sink throws.
   void notify_result(const Request& request,
                      const core::ExtractionResult& result, bool degraded);
-  void finish_request(Request& request, DoneKind kind)
-      TSDX_EXCLUDES(pending_mutex_);
-  /// `outcome` closes the request's flight record (why the future failed:
-  /// shed, cancelled, deadline-expired, ...).
-  void fail_request(Request& request, std::exception_ptr error,
-                    obs::Recorder::Outcome outcome)
+  /// The one terminal path of every request that opened a record: records
+  /// its serve.request span, closes the record through
+  /// obs::Recorder::finish (which derives every serve.* outcome count,
+  /// obs.e2e_ms and the SLO event), feeds the exact latency sample store
+  /// from the e2e value finish returns, and releases the pending slot — all
+  /// before the future resolves. A non-null `error` then resolves the
+  /// promise with it; without one the caller resolves the promise itself
+  /// (or throws from submit() instead of returning the future).
+  void close_request(Request& request, obs::Recorder::Outcome outcome,
+                     std::exception_ptr error = nullptr)
       TSDX_EXCLUDES(pending_mutex_);
   void process_inline();  // workers == 0 path, used by drain()
 

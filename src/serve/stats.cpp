@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "core/check.hpp"
-#include "obs/slo.hpp"
 #include "serve/queue.hpp"
 
 namespace tsdx::serve {
@@ -19,10 +18,6 @@ namespace {
 const std::vector<double>& batch_size_bounds() {
   static const std::vector<double> bounds{1, 2, 4, 8, 16, 32, 64, 128};
   return bounds;
-}
-
-double to_ms(std::chrono::steady_clock::duration d) {
-  return std::chrono::duration<double, std::milli>(d).count();
 }
 
 }  // namespace
@@ -90,28 +85,21 @@ std::string ServerStats::fault_summary() const {
   return buf;
 }
 
-StatsCollector::Bound StatsCollector::bind(obs::Registry& registry,
-                                           const char* name) {
-  obs::Counter& counter = registry.counter(name);
-  return Bound{counter, counter.value()};
-}
-
 StatsCollector::StatsCollector(obs::Registry& registry,
                                std::size_t queue_capacity,
                                std::size_t max_batch)
-    : submitted_(bind(registry, "serve.submitted")),
-      completed_(bind(registry, "serve.completed")),
-      failed_(bind(registry, "serve.failed")),
-      rejected_(bind(registry, "serve.rejected")),
-      shed_(bind(registry, "serve.shed")),
-      cancelled_(bind(registry, "serve.cancelled")),
-      worker_faults_(bind(registry, "serve.worker_faults")),
-      deadline_expired_(bind(registry, "serve.deadline_expired")),
-      degraded_completions_(bind(registry, "serve.degraded_completions")),
+    : accounts_(registry),
+      submitted_(bind(registry.counter("serve.submitted"))),
+      completed_(bind(accounts_.completed)),
+      failed_(bind(accounts_.failed)),
+      rejected_(bind(accounts_.rejected)),
+      shed_(bind(accounts_.shed)),
+      cancelled_(bind(accounts_.cancelled)),
+      worker_faults_(bind(registry.counter("serve.worker_faults"))),
+      deadline_expired_(bind(accounts_.deadline_expired)),
+      degraded_completions_(bind(accounts_.degraded)),
       queue_depth_gauge_(registry.gauge("serve.queue_depth")),
       queue_depth_max_gauge_(registry.gauge("serve.queue_depth_max")),
-      latency_hist_(registry.histogram("serve.latency_ms")),
-      queue_wait_hist_(registry.histogram("serve.queue_wait_ms")),
       batch_size_hist_(registry.histogram("serve.batch_size",
                                           batch_size_bounds())),
       queue_capacity_(queue_capacity) {
@@ -127,17 +115,6 @@ void StatsCollector::on_submit(std::size_t queue_depth_after) {
   queue_depth_max_ = std::max(queue_depth_max_, queue_depth_after);
 }
 
-void StatsCollector::on_reject() { rejected_.inc(); }
-
-void StatsCollector::on_shed() { shed_.inc(); }
-
-void StatsCollector::on_cancel(std::size_t count) { cancelled_.inc(count); }
-
-void StatsCollector::on_dispatch(std::chrono::steady_clock::duration queue_wait,
-                                 std::uint64_t trace_id) {
-  queue_wait_hist_.observe(to_ms(queue_wait), trace_id);
-}
-
 void StatsCollector::on_batch(std::size_t batch_size) {
   batch_size_hist_.observe(static_cast<double>(batch_size));
   LockGuard lock(mutex_);
@@ -147,42 +124,11 @@ void StatsCollector::on_batch(std::size_t batch_size) {
   ++batch_size_counts_[batch_size];
 }
 
-void StatsCollector::on_done(std::chrono::steady_clock::duration latency,
-                             DoneKind kind, std::uint64_t trace_id) {
-  // Relaxed counter bumps are still visible to a client that observed its
-  // future's outcome: they are sequenced before the promise resolution in
-  // server.cpp, and future.get() synchronizes with set_value/set_exception.
-  switch (kind) {
-    case DoneKind::kCompleted:
-      completed_.inc();
-      break;
-    case DoneKind::kFailed:
-      failed_.inc();
-      break;
-    case DoneKind::kDegraded:
-      completed_.inc();
-      degraded_completions_.inc();
-      break;
-  }
-  const double ms = to_ms(latency);
-  latency_hist_.observe(ms, trace_id);
-  {
-    LockGuard lock(mutex_);
-    latency_samples_.record(ms);
-  }
-  // SLO accounting is process-wide by design: the burn gauges answer "is
-  // this deployment eating its error budget", across however many servers
-  // share the process. kFailed burns budget; so does a completion slower
-  // than the objective (the engine applies the threshold).
-  obs::SloEngine::global().on_event(kind != DoneKind::kFailed, ms);
-}
-
 void StatsCollector::on_worker_fault() { worker_faults_.inc(); }
 
-void StatsCollector::on_deadline_expired() {
-  deadline_expired_.inc();
-  // An expired request is a bad event no matter how fast it would have been.
-  obs::SloEngine::global().on_event(/*ok=*/false, /*latency_ms=*/0.0);
+void StatsCollector::on_latency(double e2e_ms) {
+  LockGuard lock(mutex_);
+  latency_samples_.record(e2e_ms);
 }
 
 ServerStats StatsCollector::snapshot(std::size_t queue_depth_now,

@@ -1,24 +1,25 @@
 // stats.hpp — observability surface of the serving runtime.
 //
-// Since the tsdx::obs registry landed, this header is a thin serving-side
-// view over it (DESIGN.md §11):
+// A serving-side view over the tsdx::obs registry (DESIGN.md §11):
 //
 //   * percentile() / LatencyHistogram — aliases of the obs originals, shared
 //     with the bench harness (bench_common.hpp) so every latency column in
 //     the repo is computed identically.
 //   * ServerStats — immutable snapshot of one server's counters, queue
 //     gauge, batch-size distribution and end-to-end latency distribution,
-//     plus a bench-table printer. Unchanged shape: everything above
-//     src/serve keeps consuming it as before.
-//   * StatsCollector — the live accumulator behind InferenceServer::stats().
-//     Counters, gauges and bucketed latency/queue-wait/batch-size
-//     distributions now live in an obs::Registry (lock-cheap relaxed
-//     atomics, exported via to_json / to_prometheus); the collector captures
-//     each counter's value at construction so ServerStats stays "cumulative
-//     since construction" even when several servers share the process-wide
-//     Registry::global(). Exact latency samples and the exact per-size batch
-//     histogram stay mutex-guarded here — fixed registry buckets cannot
-//     carry them.
+//     plus a bench-table printer.
+//   * StatsCollector — the live state behind InferenceServer::stats(). It
+//     counts nothing a request's flight record knows: every outcome counter
+//     (completed, failed, expired, shed, cancelled, rejected, degraded) is
+//     derived by obs::Recorder::finish from the closed record, into the
+//     ServerAccounts the collector binds once. The collector itself keeps
+//     only what no single record carries — serve.submitted, worker faults,
+//     the queue-depth gauges and the batch-size distribution — and reads
+//     each counter's value at construction so ServerStats stays
+//     "cumulative since construction" even when several servers share the
+//     process-wide Registry::global(). Exact latency samples (fed from the
+//     e2e value finish() returns) and the exact per-size batch histogram
+//     stay mutex-guarded here — fixed registry buckets cannot carry them.
 //
 // Consistency note: counter bumps are relaxed atomics and the exact sample
 // store is mutex-guarded, so a snapshot taken *while workers are mid-flight*
@@ -27,7 +28,6 @@
 // the tests and bench tables read them — are exact.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -35,6 +35,7 @@
 
 #include "core/annotations.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "serve/circuit.hpp"
 
 namespace tsdx::serve {
@@ -52,7 +53,10 @@ struct ServerStats {
   std::uint64_t submitted = 0;   ///< accepted by submit()
   std::uint64_t completed = 0;   ///< result delivered through the future
   std::uint64_t failed = 0;      ///< model error delivered through the future
-  std::uint64_t rejected = 0;    ///< submit() threw QueueFullError (kReject)
+  /// submit() threw after opening a record: QueueFullError (kReject), or
+  /// ServerStoppedError to a producer parked in a kBlock push that
+  /// shutdown() woke.
+  std::uint64_t rejected = 0;
   std::uint64_t shed = 0;        ///< evicted by kShedOldest
   std::uint64_t cancelled = 0;   ///< discarded by shutdown()
 
@@ -89,42 +93,23 @@ struct ServerStats {
   std::string fault_summary() const;
 };
 
-/// How a request's future was resolved by a worker.
-enum class DoneKind {
-  kCompleted,  ///< primary model result
-  kFailed,     ///< model/injected exception delivered through the future
-  kDegraded,   ///< fallback extractor result (counts as completed too)
-};
-
-/// Thread-safe accumulator behind InferenceServer::stats(), reporting into
-/// `registry` under the serve.* namespace (counters serve.submitted …
-/// serve.degraded_completions, gauges serve.queue_depth[_max], histograms
-/// serve.latency_ms / serve.queue_wait_ms / serve.batch_size).
+/// Thread-safe state behind InferenceServer::stats(), reporting into
+/// `registry` under the serve.* namespace: counter serve.submitted /
+/// serve.worker_faults, gauges serve.queue_depth[_max], histogram
+/// serve.batch_size, plus the outcome series of accounts() (DESIGN.md §11).
 class StatsCollector {
  public:
   StatsCollector(obs::Registry& registry, std::size_t queue_capacity,
                  std::size_t max_batch);
 
+  /// The series obs::Recorder::finish derives this server's records into.
+  const obs::Recorder::ServerAccounts& accounts() const { return accounts_; }
+
   void on_submit(std::size_t queue_depth_after) TSDX_EXCLUDES(mutex_);
-  void on_reject();
-  void on_shed();
-  void on_cancel(std::size_t count);
-  /// A request left the queue for a batch slot; `queue_wait` is
-  /// submit-to-dispatch. A nonzero `trace_id` becomes the histogram bucket's
-  /// exemplar (obs::Histogram::observe).
-  void on_dispatch(std::chrono::steady_clock::duration queue_wait,
-                   std::uint64_t trace_id = 0);
   void on_batch(std::size_t batch_size) TSDX_EXCLUDES(mutex_);
-  /// Terminal request accounting. Besides the serve.* counters and latency
-  /// histograms (exemplared with `trace_id` when nonzero), feeds the
-  /// process-wide obs::SloEngine one good/bad event — kFailed and
-  /// objective-overrunning latencies burn error budget.
-  void on_done(std::chrono::steady_clock::duration latency, DoneKind kind,
-               std::uint64_t trace_id = 0) TSDX_EXCLUDES(mutex_);
   void on_worker_fault();
-  /// Counts the expiry and feeds the SLO engine a bad event (an expired
-  /// request never got an answer, whatever its latency would have been).
-  void on_deadline_expired();
+  /// One exact end-to-end sample: the value Recorder::finish returned.
+  void on_latency(double e2e_ms) TSDX_EXCLUDES(mutex_);
 
   ServerStats snapshot(std::size_t queue_depth_now,
                        CircuitState circuit_state,
@@ -141,8 +126,11 @@ class StatsCollector {
     void inc(std::uint64_t delta = 1) { counter.inc(delta); }
     std::uint64_t delta() const { return counter.value() - base; }
   };
-  static Bound bind(obs::Registry& registry, const char* name);
+  static Bound bind(obs::Counter& counter) {
+    return Bound{counter, counter.value()};
+  }
 
+  const obs::Recorder::ServerAccounts accounts_;
   Bound submitted_;
   Bound completed_;
   Bound failed_;
@@ -154,8 +142,6 @@ class StatsCollector {
   Bound degraded_completions_;
   obs::Gauge& queue_depth_gauge_;
   obs::Gauge& queue_depth_max_gauge_;  ///< process high-water (update_max)
-  obs::Histogram& latency_hist_;
-  obs::Histogram& queue_wait_hist_;
   obs::Histogram& batch_size_hist_;
 
   // Exact per-server state the registry's fixed buckets can't carry.

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -351,15 +352,21 @@ TEST(ObsMetricsTest, HistogramExemplarsLinkBucketsToTraces) {
 TEST(ObsRecorderTest, LifecycleDerivesSegmentsThatSumToEndToEnd) {
   obs::Recorder recorder;
   obs::Registry registry;
-  const std::uint64_t h =
+  obs::SloEngine slo(obs::SloConfig{}, &registry);
+  const obs::Recorder::ServerAccounts accounts(registry, &slo);
+  obs::Recorder::Record rec =
       recorder.begin(obs::Recorder::Kind::kServer, /*trace_id=*/77);
-  ASSERT_NE(h, 0u);
-  recorder.on_enqueued(h);
-  recorder.on_dispatch(h);
-  recorder.on_execute(h, recorder.mint_batch_id(), /*batch_size=*/4,
-                      /*worker=*/1);
-  recorder.set_path(h, obs::Recorder::Path::kPlan);
-  recorder.finish(h, obs::Recorder::Outcome::kCompleted, &registry);
+  ASSERT_NE(rec.id, 0u);
+  // The serving layer writes milestones straight into its record.
+  rec.enqueue_ns = recorder.now_ns();
+  rec.dispatch_ns = recorder.now_ns();
+  rec.execute_ns = recorder.now_ns();
+  rec.batch_id = recorder.mint_batch_id();
+  rec.batch_size = 4;
+  rec.worker = 1;
+  rec.path = obs::Recorder::Path::kPlan;
+  const std::optional<double> e2e_ms =
+      recorder.finish(rec, obs::Recorder::Outcome::kCompleted, accounts);
 
   const auto records = recorder.snapshot();
   ASSERT_EQ(records.size(), 1u);
@@ -390,6 +397,11 @@ TEST(ObsRecorderTest, LifecycleDerivesSegmentsThatSumToEndToEnd) {
   obs::Histogram& e2e = registry.histogram("obs.e2e_ms");
   EXPECT_EQ(e2e.count(), 1u);
   EXPECT_NEAR(e2e.sum(), attributed, 1e-9);
+  // finish() hands the same e2e back (the server's exact sample store), and
+  // the outcome counter comes from the same record.
+  ASSERT_TRUE(e2e_ms.has_value());
+  EXPECT_DOUBLE_EQ(*e2e_ms, e2e.sum());
+  EXPECT_EQ(registry.counter("serve.completed").value(), 1u);
 
   // And the JSON export carries the full schema trace_check.py validates.
   const std::string json = recorder.to_json();
@@ -399,6 +411,21 @@ TEST(ObsRecorderTest, LifecycleDerivesSegmentsThatSumToEndToEnd) {
   EXPECT_NE(json.find("\"kind\": \"server\""), std::string::npos);
 }
 
+// begin() publishes the record's begin-time fields, so an in-flight request
+// is visible in the ring (and in any anomaly dump) before it finishes.
+TEST(ObsRecorderTest, BeginPublishesAnInFlightRecord) {
+  obs::Recorder recorder;
+  const obs::Recorder::Record rec =
+      recorder.begin(obs::Recorder::Kind::kRouter, /*trace_id=*/31);
+  const auto records = recorder.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].id, rec.id);
+  EXPECT_EQ(records[0].trace_id, 31u);
+  EXPECT_EQ(records[0].kind, obs::Recorder::Kind::kRouter);
+  EXPECT_EQ(records[0].outcome, obs::Recorder::Outcome::kInFlight);
+  EXPECT_EQ(records[0].submit_ns, rec.submit_ns);
+}
+
 // Requests that never reach later milestones clamp the missing segments to
 // zero length, so the partition invariant holds even for an expired request
 // that was never dispatched — and expired/shed records stay out of the
@@ -406,33 +433,43 @@ TEST(ObsRecorderTest, LifecycleDerivesSegmentsThatSumToEndToEnd) {
 TEST(ObsRecorderTest, MissingMilestonesClampAndNonServedStayUnobserved) {
   obs::Recorder recorder;
   obs::Registry registry;
+  obs::SloEngine slo(obs::SloConfig{}, &registry);
+  const obs::Recorder::ServerAccounts accounts(registry, &slo);
   // Failed after enqueue, never dispatched: queue/batch_wait/execute clamp.
-  const std::uint64_t failed =
+  obs::Recorder::Record failed =
       recorder.begin(obs::Recorder::Kind::kServer, 1);
-  recorder.on_enqueued(failed);
-  recorder.finish(failed, obs::Recorder::Outcome::kFailed, &registry);
+  failed.enqueue_ns = recorder.now_ns();
+  recorder.finish(failed, obs::Recorder::Outcome::kFailed, accounts);
   EXPECT_EQ(registry.histogram("obs.e2e_ms").count(), 1u);
   EXPECT_EQ(registry.histogram("obs.segment_ms.execute").count(), 1u);
   // Deadline-expired: timeline kept in the ring, histograms untouched.
-  const std::uint64_t expired =
+  obs::Recorder::Record expired =
       recorder.begin(obs::Recorder::Kind::kServer, 2);
-  recorder.finish(expired, obs::Recorder::Outcome::kDeadlineExpired,
-                  &registry);
+  EXPECT_FALSE(recorder
+                   .finish(expired, obs::Recorder::Outcome::kDeadlineExpired,
+                           accounts)
+                   .has_value());
   EXPECT_EQ(registry.histogram("obs.e2e_ms").count(), 1u);
   const auto records = recorder.snapshot();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[1].outcome, obs::Recorder::Outcome::kDeadlineExpired);
+  EXPECT_EQ(registry.counter("serve.failed").value(), 1u);
+  EXPECT_EQ(registry.counter("serve.deadline_expired").value(), 1u);
 }
 
 TEST(ObsRecorderTest, RouterRecordAccumulatesRetriesIntoBackoffHistogram) {
   obs::Recorder recorder;
   obs::Registry registry;
-  const std::uint64_t h = recorder.begin(obs::Recorder::Kind::kRouter, 9);
-  recorder.on_admission(h, "admitted");
-  recorder.set_replica(h, 2);
-  recorder.on_retry(h, /*backoff_ns=*/1'000'000, /*failover=*/true);
-  recorder.on_retry(h, /*backoff_ns=*/2'000'000, /*failover=*/false);
-  recorder.finish(h, obs::Recorder::Outcome::kFailed, &registry);
+  const obs::Recorder::RouterAccounts accounts(registry);
+  obs::Recorder::Record rec = recorder.begin(obs::Recorder::Kind::kRouter, 9);
+  rec.admission = "admitted";
+  rec.replica = 2;
+  // Two retries, the first a failover, as the Router's retry loop writes
+  // them.
+  rec.attempts = 2;
+  rec.failovers = 1;
+  rec.backoff_ns = 1'000'000 + 2'000'000;
+  recorder.finish(rec, obs::Recorder::Outcome::kFailed, accounts);
   const auto records = recorder.snapshot();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].attempts, 2u);
@@ -443,34 +480,80 @@ TEST(ObsRecorderTest, RouterRecordAccumulatesRetriesIntoBackoffHistogram) {
       registry.histogram("obs.segment_ms.retry_backoff");
   EXPECT_EQ(backoff.count(), 1u);
   EXPECT_DOUBLE_EQ(backoff.sum(), 3.0);
+  // The route.* counters derive from the same record.
+  EXPECT_EQ(registry.counter("route.failed").value(), 1u);
+  EXPECT_EQ(registry.counter("route.retries").value(), 2u);
+  EXPECT_EQ(registry.counter("route.failovers").value(), 1u);
   // Router records never feed the server-side e2e partition.
   EXPECT_EQ(registry.histogram("obs.e2e_ms").count(), 0u);
   const std::string json = recorder.to_json();
   EXPECT_NE(json.find("\"admission\": \"admitted\""), std::string::npos);
 }
 
-// The ring is a diagnostic buffer, not a ledger: hooks against a handle the
-// ring has lapped are silently dropped instead of corrupting the younger
-// record that now owns the slot.
-TEST(ObsRecorderTest, LappedHandlesAreDroppedSilently) {
+// The ring is a diagnostic buffer, not a ledger: a record whose slot the
+// ring has lapped is not written back over the younger record that now owns
+// the slot — but finish() still derives its accounting, so a lapped ring
+// never loses a count.
+TEST(ObsRecorderTest, LappedRecordsStillCountButStayOutOfTheRing) {
   obs::Recorder recorder;
   obs::Registry registry;
-  const std::uint64_t old_handle =
+  obs::SloEngine slo(obs::SloConfig{}, &registry);
+  const obs::Recorder::ServerAccounts accounts(registry, &slo);
+  obs::Recorder::Record old_record =
       recorder.begin(obs::Recorder::Kind::kServer, 5);
   for (std::size_t i = 0; i < obs::Recorder::kRingCapacity; ++i) {
     recorder.begin(obs::Recorder::Kind::kServer, 0);
   }
-  recorder.on_dispatch(old_handle);
-  recorder.finish(old_handle, obs::Recorder::Outcome::kCompleted, &registry);
-  // The lapped finish neither observed histograms nor resurfaced the record.
-  EXPECT_EQ(registry.histogram("obs.e2e_ms").count(), 0u);
+  old_record.dispatch_ns = recorder.now_ns();
+  recorder.finish(old_record, obs::Recorder::Outcome::kCompleted, accounts);
+  // The lapped finish counted...
+  EXPECT_EQ(registry.histogram("obs.e2e_ms").count(), 1u);
+  EXPECT_EQ(registry.counter("serve.completed").value(), 1u);
+  EXPECT_EQ(slo.snapshot().good_fast + slo.snapshot().bad_fast, 1u);
+  // ...but did not resurface the record.
   for (const obs::Recorder::Record& r : recorder.snapshot()) {
-    EXPECT_NE(r.id, old_handle);
+    EXPECT_NE(r.id, old_record.id);
   }
-  // Handle 0 is the inert no-record handle: every hook is a no-op.
-  recorder.on_enqueued(0);
-  recorder.finish(0, obs::Recorder::Outcome::kFailed, &registry);
-  EXPECT_EQ(registry.histogram("obs.e2e_ms").count(), 0u);
+  // A record never begun (id 0) is inert: finish() neither publishes nor
+  // counts it.
+  obs::Recorder::Record inert;
+  EXPECT_FALSE(recorder.finish(inert, obs::Recorder::Outcome::kFailed, accounts)
+                   .has_value());
+  EXPECT_EQ(registry.histogram("obs.e2e_ms").count(), 1u);
+  EXPECT_EQ(registry.counter("serve.failed").value(), 0u);
+}
+
+// The SLO event is derived from the closed record: completed/degraded
+// records are good within the objective and bad beyond it, failed and
+// deadline-expired records are bad, and shed / cancelled / rejected server
+// records and every router record send no event at all.
+TEST(ObsRecorderTest, SloEventsFollowTheRecordOutcome) {
+  obs::Recorder recorder;
+  obs::Registry registry;
+  obs::SloConfig cfg;
+  cfg.latency_objective_ms = 50.0;
+  obs::SloEngine slo(cfg, &registry);
+  const obs::Recorder::ServerAccounts server(registry, &slo);
+  const obs::Recorder::RouterAccounts router(registry);
+  using Outcome = obs::Recorder::Outcome;
+  const auto close = [&](Outcome outcome, std::int64_t age_ms) {
+    obs::Recorder::Record rec = recorder.begin(obs::Recorder::Kind::kServer, 0);
+    rec.submit_ns -= age_ms * 1'000'000;
+    recorder.finish(rec, outcome, server);
+  };
+  close(Outcome::kCompleted, 0);        // good
+  close(Outcome::kDegraded, 0);         // good
+  close(Outcome::kCompleted, 1000);     // bad: over the objective
+  close(Outcome::kFailed, 0);           // bad
+  close(Outcome::kDeadlineExpired, 0);  // bad
+  close(Outcome::kShed, 0);             // no event
+  close(Outcome::kCancelled, 0);        // no event
+  close(Outcome::kRejected, 0);         // no event
+  obs::Recorder::Record routed = recorder.begin(obs::Recorder::Kind::kRouter, 0);
+  recorder.finish(routed, Outcome::kFailed, router);  // no event
+  const obs::SloSnapshot snap = slo.snapshot();
+  EXPECT_EQ(snap.good_fast, 2u);
+  EXPECT_EQ(snap.bad_fast, 3u);
 }
 
 // ---- SLO engine ------------------------------------------------------------------
@@ -731,8 +814,8 @@ TEST(ObsTraceTest, OneRequestIsTracedEndToEndUnderASingleId) {
   // exactly this server's accounting.
   EXPECT_EQ(registry->counter("serve.submitted").value(), clips.size());
   EXPECT_EQ(registry->counter("serve.completed").value(), clips.size());
-  EXPECT_EQ(registry->histogram("serve.latency_ms").count(), clips.size());
-  EXPECT_GE(registry->histogram("serve.queue_wait_ms").count(), clips.size());
+  EXPECT_EQ(registry->histogram("obs.e2e_ms").count(), clips.size());
+  EXPECT_EQ(registry->histogram("obs.segment_ms.queue").count(), clips.size());
   EXPECT_EQ(registry->gauge("serve.circuit_state").value(), 0);
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, clips.size());

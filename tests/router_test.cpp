@@ -12,12 +12,16 @@
 #include <array>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
+#include <optional>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "core/extractor.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "sdl/description.hpp"
 #include "serve/admission.hpp"
 #include "serve/error.hpp"
@@ -484,4 +488,104 @@ TEST(RouterTest, HealthProbeReadmitsRecoveredReplica) {
   EXPECT_NO_THROW(router.submit(clips[0]).get());
   router.drain();
   EXPECT_EQ(router.stats().failed, 0u);
+}
+
+// ---- accounting agreement --------------------------------------------------------
+
+// Every route.* count derives from the ticket's own flight record, as every
+// serve.* count derives from the replica request's: over a seeded mix of
+// completions, failovers, retry-exhausted failures, deadline expiries and
+// admission rejections, the router records, the route.* counters and
+// RouterStats agree, and the replicas' records agree with the serve.*
+// counters of the registry they share.
+TEST(RouterTest, RecordsCountersAndStatsAgree) {
+  using Outcome = obs::Recorder::Outcome;
+  serve::RouterConfig cfg = sequential_router(2);
+  cfg.max_attempts = 2;
+  cfg.retry_budget_floor = 16.0;
+  cfg.retry_backoff = std::chrono::microseconds(100);
+  cfg.heal_backoff = std::chrono::seconds(30);  // no passive heal mid-test
+  cfg.admission.aggregate_rate_per_s = 1.0;
+  cfg.admission.burst_seconds = 16.0;  // 16 tokens, then ~1 per second
+  serve::Router router(make_frozen_extractor(), cfg);
+  const auto clips = make_clips(2);
+  obs::Recorder::global().clear();
+
+  // Replica0 dies from its 3rd dispatch, replica1 from its 8th: together
+  // they can answer at most 9 requests, so the rest fail over and then
+  // fail.
+  fault::FaultPlan plan;
+  plan.replica_plans = {{/*domain=*/0, /*kill_from_call=*/3, {}, {}},
+                        {/*domain=*/1, /*kill_from_call=*/8, {}, {}}};
+  fault::ScopedFaultPlan armed(plan);
+  std::mt19937_64 rng(20241017);
+  std::vector<std::future<core::ExtractionResult>> futures;
+  for (std::size_t i = 0; i < 20; ++i) {
+    std::optional<Clock::time_point> deadline;
+    if (rng() % 4 == 0) deadline = Clock::now() - std::chrono::milliseconds(1);
+    try {
+      futures.push_back(router.submit(clips[i % clips.size()], deadline));
+    } catch (const serve::AdmissionRejectedError&) {
+      // counted by admission as route.shed
+    }
+  }
+  for (auto& future : futures) future.wait();
+  router.drain();
+
+  std::map<Outcome, std::uint64_t> routed;
+  std::map<Outcome, std::uint64_t> served;
+  std::uint64_t retries = 0;
+  std::uint64_t failovers = 0;
+  for (const obs::Recorder::Record& r : obs::Recorder::global().snapshot()) {
+    if (r.kind == obs::Recorder::Kind::kRouter) {
+      ++routed[r.outcome];
+      retries += r.attempts;
+      failovers += r.failovers;
+    } else {
+      ++served[r.outcome];
+    }
+  }
+  auto& registry = router.metrics_registry();
+  const auto counter = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+  const serve::RouterStats stats = router.stats();
+  EXPECT_EQ(routed[Outcome::kInFlight], 0u);
+  EXPECT_EQ(served[Outcome::kInFlight], 0u);
+
+  const std::uint64_t completed =
+      routed[Outcome::kCompleted] + routed[Outcome::kDegraded];
+  const std::uint64_t failed = routed[Outcome::kFailed] +
+                               routed[Outcome::kDeadlineExpired] +
+                               routed[Outcome::kCancelled];
+  EXPECT_EQ(counter("route.completed"), completed);
+  EXPECT_EQ(stats.completed, completed);
+  EXPECT_EQ(counter("route.degraded"), routed[Outcome::kDegraded]);
+  EXPECT_EQ(stats.degraded, routed[Outcome::kDegraded]);
+  EXPECT_EQ(counter("route.failed"), failed);
+  EXPECT_EQ(stats.failed, failed);
+  EXPECT_EQ(counter("route.retries"), retries);
+  EXPECT_EQ(stats.retries, retries);
+  EXPECT_EQ(counter("route.failovers"), failovers);
+  EXPECT_EQ(stats.failovers, failovers);
+  EXPECT_EQ(stats.shed, routed[Outcome::kRejected]);
+  EXPECT_EQ(stats.admitted, completed + failed);
+  EXPECT_EQ(stats.pending, 0u);
+
+  EXPECT_EQ(counter("serve.completed"),
+            served[Outcome::kCompleted] + served[Outcome::kDegraded]);
+  EXPECT_EQ(counter("serve.failed"), served[Outcome::kFailed]);
+  EXPECT_EQ(counter("serve.deadline_expired"),
+            served[Outcome::kDeadlineExpired]);
+  EXPECT_EQ(counter("serve.shed"), served[Outcome::kShed]);
+  EXPECT_EQ(counter("serve.cancelled"), served[Outcome::kCancelled]);
+  EXPECT_EQ(counter("serve.rejected"), served[Outcome::kRejected]);
+
+  // The seeded mix exercised each router outcome it aimed at.
+  EXPECT_GT(routed[Outcome::kCompleted], 0u);
+  EXPECT_GT(routed[Outcome::kFailed], 0u);
+  EXPECT_GT(routed[Outcome::kDeadlineExpired], 0u);
+  EXPECT_GT(routed[Outcome::kRejected], 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(failovers, 0u);
 }

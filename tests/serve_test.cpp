@@ -5,14 +5,21 @@
 // the CI ThreadSanitizer job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <optional>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "core/extractor.hpp"
+#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
+#include "serve/fault/inject.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "serve/stats.hpp"
@@ -20,7 +27,9 @@
 #include "sim/clipgen.hpp"
 
 namespace core = tsdx::core;
+namespace obs = tsdx::obs;
 namespace serve = tsdx::serve;
+namespace fault = tsdx::serve::fault;
 namespace sim = tsdx::sim;
 
 namespace {
@@ -82,6 +91,35 @@ serve::ServerConfig config_with(std::size_t workers, std::size_t max_batch,
   cfg.queue_capacity = capacity;
   cfg.overflow = policy;
   return cfg;
+}
+
+/// Server records in the global flight-recorder ring with `outcome`.
+std::uint64_t server_records(obs::Recorder::Outcome outcome) {
+  std::uint64_t n = 0;
+  for (const obs::Recorder::Record& r : obs::Recorder::global().snapshot()) {
+    if (r.kind == obs::Recorder::Kind::kServer && r.outcome == outcome) ++n;
+  }
+  return n;
+}
+
+/// Park a second producer in a kBlock push on `server`'s full queue, then
+/// shut the server down under it: the producer's submit() must throw
+/// ServerStoppedError. Waits for the producer's record to reach the ring
+/// (no sleep) before shutting down; `in_flight_before` is the number of
+/// in-flight server records already there.
+void shutdown_under_parked_producer(serve::InferenceServer& server,
+                                    const sim::VideoClip& clip,
+                                    std::uint64_t in_flight_before) {
+  serve::ThreadPool producer;
+  producer.spawn(1, [&](std::size_t) {
+    EXPECT_THROW(server.submit(clip), serve::ServerStoppedError);
+  });
+  while (server_records(obs::Recorder::Outcome::kInFlight) <=
+         in_flight_before) {
+    std::this_thread::yield();
+  }
+  server.shutdown();
+  producer.join();
 }
 
 }  // namespace
@@ -265,6 +303,35 @@ TEST(ServeLifecycleTest, ShutdownCancelsQueuedRequests) {
   server.shutdown();  // idempotent
 }
 
+// A producer parked in a kBlock push on a full queue, woken by shutdown(),
+// gets ServerStoppedError from submit() instead of a future: its record
+// closes as rejected and serve.rejected counts it, so a record never exists
+// without its counter and conservation still holds.
+TEST(ServeLifecycleTest, ShutdownWokenBlockedSubmitIsCountedAsRejected) {
+  auto registry = std::make_shared<obs::Registry>();
+  serve::ServerConfig cfg = config_with(/*workers=*/0, /*max_batch=*/8,
+                                        /*capacity=*/1,
+                                        serve::OverflowPolicy::kBlock);
+  cfg.metrics = registry;
+  serve::InferenceServer server(make_frozen_extractor(), cfg);
+  const auto clips = make_clips(2);
+  obs::Recorder::global().clear();
+
+  auto queued = server.submit(clips[0]);  // fills the queue
+  shutdown_under_parked_producer(server, clips[1], /*in_flight_before=*/1);
+  EXPECT_THROW(queued.get(), serve::ServerStoppedError);
+
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(registry->counter("serve.rejected").value(), 1u);
+  EXPECT_EQ(registry->counter("serve.cancelled").value(), 1u);
+  EXPECT_EQ(server_records(obs::Recorder::Outcome::kRejected), 1u);
+  EXPECT_EQ(server_records(obs::Recorder::Outcome::kCancelled), 1u);
+  EXPECT_EQ(server_records(obs::Recorder::Outcome::kInFlight), 0u);
+}
+
 // A clip whose geometry the model rejects must fail only its own future —
 // via the model's typed exception — and never take down a worker.
 TEST(ServeLifecycleTest, ModelErrorPropagatesThroughFuture) {
@@ -342,6 +409,137 @@ TEST(ServeStressTest, EightProducersTenThousandRequests) {
     batched += stats.batch_size_counts[s] * s;
   }
   EXPECT_EQ(batched, kTotal);
+}
+
+// ---- accounting agreement --------------------------------------------------------
+
+// Every outcome count a server reports derives from the request's own flight
+// record, so the three views of one run — records in the ring, registry
+// counters and ServerStats — agree exactly. Driven over a seeded mix of
+// every outcome: completions, injected worker faults, expiry at submit and
+// at the batcher's scrub, sheds, rejects, shutdown cancels and a
+// shutdown-woken kBlock submit.
+TEST(ServeAccountingTest, RecordsCountersAndStatsAgreeOnEveryOutcome) {
+  using Clock = serve::InferenceServer::Clock;
+  using Outcome = obs::Recorder::Outcome;
+  auto registry = std::make_shared<obs::Registry>();
+  const auto extractor = make_frozen_extractor();
+  const auto clips = make_clips(4);
+  const auto make_server = [&](serve::OverflowPolicy policy) {
+    serve::ServerConfig cfg = config_with(/*workers=*/0, /*max_batch=*/2,
+                                          /*capacity=*/6, policy);
+    cfg.metrics = registry;
+    return std::make_unique<serve::InferenceServer>(extractor, cfg);
+  };
+  obs::Recorder::global().clear();
+  std::mt19937_64 rng(20241017);
+  std::vector<serve::ServerStats> stats;
+
+  // Inline servers (workers = 0): nothing dispatches until drain(), so the
+  // overflow policy sees every submission of the mix.
+  for (const serve::OverflowPolicy policy :
+       {serve::OverflowPolicy::kReject, serve::OverflowPolicy::kShedOldest}) {
+    auto server = make_server(policy);
+    std::vector<std::future<core::ExtractionResult>> futures;
+    Clock::time_point last_deadline = Clock::now();
+    for (std::size_t i = 0; i < 12; ++i) {
+      std::optional<Clock::time_point> deadline;
+      switch (rng() % 4) {
+        case 0:  // already past: expires at submit
+          deadline = Clock::now() - std::chrono::milliseconds(1);
+          break;
+        case 1:  // passes while queued: expires at the batcher's scrub
+          deadline = Clock::now() + std::chrono::milliseconds(5);
+          last_deadline = std::max(last_deadline, *deadline);
+          break;
+        default:  // no deadline: completes, or fails on the injected fault
+          break;
+      }
+      try {
+        futures.push_back(server->submit(clips[i % clips.size()], deadline));
+      } catch (const serve::QueueFullError&) {
+        // kReject: counted as rejected
+      }
+    }
+    // Every queued deadline has passed before the inline drain scrubs.
+    while (Clock::now() <= last_deadline) std::this_thread::yield();
+    fault::FaultPlan plan;
+    plan.throw_on_extract_calls = {1};  // the first batch faults
+    {
+      fault::ScopedFaultPlan armed(plan);
+      server->drain();
+    }
+    for (auto& future : futures) {
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+    }
+    stats.push_back(server->stats());
+  }
+  // kBlock: two queued requests cancelled by shutdown(), plus a producer
+  // parked in push that shutdown() wakes.
+  {
+    auto server = make_server(serve::OverflowPolicy::kBlock);
+    std::vector<std::future<core::ExtractionResult>> futures;
+    for (std::size_t i = 0; i < 6; ++i) {
+      futures.push_back(server->submit(clips[i % clips.size()]));
+    }
+    shutdown_under_parked_producer(*server, clips[0],
+                                   /*in_flight_before=*/6);
+    for (auto& future : futures) {
+      EXPECT_THROW(future.get(), serve::ServerStoppedError);
+    }
+    stats.push_back(server->stats());
+  }
+
+  const auto stat_sum = [&](std::uint64_t serve::ServerStats::*field) {
+    std::uint64_t total = 0;
+    for (const serve::ServerStats& s : stats) total += s.*field;
+    return total;
+  };
+  const auto counter = [&](const char* name) {
+    return registry->counter(name).value();
+  };
+  struct Row {
+    const char* counter;
+    std::uint64_t serve::ServerStats::*field;
+    std::uint64_t records;
+  };
+  const std::array<Row, 7> rows{{
+      {"serve.completed", &serve::ServerStats::completed,
+       server_records(Outcome::kCompleted) +
+           server_records(Outcome::kDegraded)},
+      {"serve.degraded_completions", &serve::ServerStats::degraded_completions,
+       server_records(Outcome::kDegraded)},
+      {"serve.failed", &serve::ServerStats::failed,
+       server_records(Outcome::kFailed)},
+      {"serve.deadline_expired", &serve::ServerStats::deadline_expired,
+       server_records(Outcome::kDeadlineExpired)},
+      {"serve.shed", &serve::ServerStats::shed, server_records(Outcome::kShed)},
+      {"serve.cancelled", &serve::ServerStats::cancelled,
+       server_records(Outcome::kCancelled)},
+      {"serve.rejected", &serve::ServerStats::rejected,
+       server_records(Outcome::kRejected)},
+  }};
+  for (const Row& row : rows) {
+    EXPECT_EQ(counter(row.counter), row.records) << row.counter;
+    EXPECT_EQ(stat_sum(row.field), row.records) << row.counter;
+  }
+  EXPECT_EQ(server_records(Outcome::kInFlight), 0u);
+  // The seeded mix exercised every outcome but the degraded one.
+  for (const Row& row : rows) {
+    if (row.field != &serve::ServerStats::degraded_completions) {
+      EXPECT_GT(row.records, 0u) << row.counter;
+    }
+  }
+  // Conservation after drain/shutdown: every submitted request resolved.
+  const std::uint64_t resolved =
+      stat_sum(&serve::ServerStats::completed) +
+      stat_sum(&serve::ServerStats::failed) +
+      stat_sum(&serve::ServerStats::deadline_expired) +
+      stat_sum(&serve::ServerStats::shed) +
+      stat_sum(&serve::ServerStats::cancelled);
+  EXPECT_EQ(stat_sum(&serve::ServerStats::submitted), resolved);
+  EXPECT_EQ(counter("serve.submitted"), resolved);
 }
 
 // ---- queue timed pop: the spurious-wakeup contract ------------------------------

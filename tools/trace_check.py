@@ -23,8 +23,10 @@ Checks (exit 0 = pass, 1 = fail, 2 = usage/IO error):
                     which is what makes the Perfetto rendering meaningful).
   metrics shape     tsdx_metrics.json has counters/gauges/histograms maps;
                     serve.submitted and serve.completed counted this run's
-                    requests, gemm.calls > 0, and the serve.latency_ms
-                    histogram holds as many samples as serve.completed.
+                    requests, gemm.calls > 0, and the obs.e2e_ms histogram
+                    holds one sample per served request (serve.completed +
+                    serve.failed: both derive from the same closed flight
+                    records).
 
 With --plan, the run under test served through compiled inference plans
 (`serve_demo --smoke --metrics-dump --compiled`) and the checks change to
@@ -51,14 +53,19 @@ least one check must be requested):
 
   --prom FILE       Prometheus exposition with OpenMetrics exemplars: every
                     `# {...}` suffix parses as ` # {trace_id="N"} value`, and
-                    at least one histogram bucket carries one — the slowest
+                    at least one obs.e2e_ms bucket carries one — the slowest
                     requests are linkable to a concrete flight-recorder
                     trace.
   --recorder FILE   Flight-recorder ring dump (serve_demo --metrics-dump
                     writes tsdx_recorder.json): {"records": [...]}, each
                     record carrying the full schema (id / trace_id / kind /
                     outcome / path / batching / timeline fields), with at
-                    least one terminal served record.
+                    least one terminal served record. With the metrics JSON
+                    also given (the second positional) and a ring that holds
+                    every record of the run (ids 1..N, nothing lapped), each
+                    serve.* outcome counter must equal the number of server
+                    records with that outcome — metrics and recorder derive
+                    from one record per request, so they cannot disagree.
   --dump FILE       Anomaly dump written by the SLO engine to
                     TSDX_OBS_DUMP_DIR: anomaly kind, offending trace_id, slo
                     window snapshot, recorder records, span tail. When
@@ -196,13 +203,14 @@ def check_metrics(metrics, plan_mode: bool) -> None:
     for name in required:
         if counters.get(name, 0) <= 0:
             fail(f"counter `{name}` is missing or zero")
-    latency = metrics["histograms"].get("serve.latency_ms")
-    if latency is None:
-        fail("histogram `serve.latency_ms` is missing")
-    if latency.get("count", 0) != counters["serve.completed"]:
+    e2e = metrics["histograms"].get("obs.e2e_ms")
+    if e2e is None:
+        fail("histogram `obs.e2e_ms` is missing")
+    served = counters["serve.completed"] + counters.get("serve.failed", 0)
+    if e2e.get("count", 0) != served:
         fail(
-            f"serve.latency_ms holds {latency.get('count', 0)} samples, "
-            f"want one per completed request ({counters['serve.completed']})"
+            f"obs.e2e_ms holds {e2e.get('count', 0)} samples, want one per "
+            f"served request (completed + failed = {served})"
         )
     if plan_mode:
         detail = (
@@ -251,7 +259,7 @@ ANOMALY_KINDS = {"deadline_miss", "circuit_trip", "retry_storm",
                  "arena_growth"}
 
 # OpenMetrics exemplar suffix as Histogram::to_prometheus writes it:
-#   serve_latency_ms_bucket{le="0.5"} 12 # {trace_id="7"} 0.35
+#   obs_e2e_ms_bucket{le="0.5"} 12 # {trace_id="7"} 0.35
 EXEMPLAR = re.compile(r' # \{trace_id="\d+"\} -?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?$')
 
 
@@ -281,6 +289,7 @@ def check_prom(path: str) -> None:
         print(f"trace_check: cannot read {path}: {err}")
         sys.exit(2)
     exemplars = 0
+    e2e_exemplars = 0
     for lineno, line in enumerate(text.splitlines(), 1):
         if " # {" not in line:
             continue
@@ -292,12 +301,30 @@ def check_prom(path: str) -> None:
         if "_bucket{" not in line:
             fail(f"{path}:{lineno}: exemplar on a non-bucket line: {line!r}")
         exemplars += 1
-    if exemplars == 0:
-        fail(f"{path}: no histogram bucket carries a trace-ID exemplar")
-    print(f"trace_check: prom OK — {exemplars} bucket exemplar(s)")
+        if line.startswith("obs_e2e_ms_bucket{"):
+            e2e_exemplars += 1
+    if e2e_exemplars == 0:
+        fail(f"{path}: no obs.e2e_ms bucket carries a trace-ID exemplar")
+    print(
+        f"trace_check: prom OK — {exemplars} bucket exemplar(s), "
+        f"{e2e_exemplars} on obs.e2e_ms"
+    )
 
 
-def check_recorder(dump) -> None:
+# serve.* outcome counter -> the server-record outcomes it counts
+# (Recorder::finish, src/obs/recorder.cpp).
+OUTCOME_COUNTERS = {
+    "serve.completed": ("completed", "degraded"),
+    "serve.degraded_completions": ("degraded",),
+    "serve.failed": ("failed",),
+    "serve.deadline_expired": ("deadline_expired",),
+    "serve.shed": ("shed",),
+    "serve.cancelled": ("cancelled",),
+    "serve.rejected": ("rejected",),
+}
+
+
+def check_recorder(dump, metrics=None) -> None:
     records = dump.get("records") if isinstance(dump, dict) else None
     if not isinstance(records, list) or not records:
         fail("recorder dump has no non-empty `records` list")
@@ -310,10 +337,40 @@ def check_recorder(dump) -> None:
     ]
     if not served:
         fail("recorder dump holds no terminally served record")
+    detail = ""
+    if metrics is not None:
+        detail = cross_check(records, metrics)
     print(
         f"trace_check: recorder OK — {len(records)} record(s), "
-        f"{len(served)} served"
+        f"{len(served)} served" + detail
     )
+
+
+def cross_check(records, metrics) -> str:
+    """Each serve.* outcome counter equals its count of server records.
+
+    Only meaningful when the ring still holds every record of the run: the
+    ids of a never-lapped ring are exactly 1..N.
+    """
+    ids = sorted(r["id"] for r in records)
+    if ids != list(range(1, len(ids) + 1)):
+        return " (ring lapped or partial: counter cross-check skipped)"
+    counters = metrics.get("counters") if isinstance(metrics, dict) else None
+    if not isinstance(counters, dict):
+        fail("metrics JSON is missing the `counters` map")
+    server = [r for r in records if r["kind"] == "server"]
+    in_flight = [r["id"] for r in server if r["outcome"] == "in_flight"]
+    if in_flight:
+        fail(f"server records still in flight after drain: ids {in_flight}")
+    for name, outcomes in OUTCOME_COUNTERS.items():
+        want = sum(1 for r in server if r["outcome"] in outcomes)
+        got = counters.get(name, 0)
+        if got != want:
+            fail(
+                f"counter `{name}` = {got}, but {want} server record(s) "
+                f"closed as {'/'.join(outcomes)}"
+            )
+    return f", outcome counters agree with {len(server)} server record(s)"
 
 
 def check_dump(dump) -> None:
@@ -386,13 +443,15 @@ def main() -> int:
     ):
         print(__doc__)
         return 2
+    metrics = None
     if argv:
         check_trace(load_json(argv[0]), plan_mode)
-        check_metrics(load_json(argv[1]), plan_mode)
+        metrics = load_json(argv[1])
+        check_metrics(metrics, plan_mode)
     if prom is not None:
         check_prom(prom)
     if recorder is not None:
-        check_recorder(load_json(recorder))
+        check_recorder(load_json(recorder), metrics)
     if dump is not None:
         check_dump(load_json(dump))
     print("trace_check: PASS" + (" (plan mode)" if plan_mode else ""))

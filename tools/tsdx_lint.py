@@ -89,6 +89,17 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     branch-free vector exp4 there; a libm call per element is
                     the scalar hot path that exp4 replaced. std::log and
                     std::sqrt stay legal: each runs once per row.
+  terminal-sink     A request's outcome is counted in exactly one place:
+                    obs::Recorder::finish (src/obs/recorder.cpp), which
+                    derives every outcome counter and the SLO event from the
+                    request's closed flight record. Under src/, the outcome
+                    counter names (serve.completed / failed /
+                    degraded_completions / deadline_expired / shed /
+                    cancelled / rejected, route.completed / failed /
+                    degraded / retries / failovers) may appear as string
+                    literals, and SloEngine::on_event may be called, only in
+                    that file — a second bump site is a second accounting
+                    path that can disagree with the records.
 
 Usage: tsdx_lint.py [repo_root]      (exit 0 = clean, 1 = violations)
 If repo_root is omitted it is derived from this script's location, so the
@@ -113,6 +124,24 @@ VALIDATING_HELPERS = {"binary_op", "unary_op", "unary_result", "classify",
                       "shape_error", "matmul_dims"}
 
 VALIDATION_MACROS = ("TSDX_CHECK", "TSDX_SHAPE_ASSERT")
+
+
+# The outcome counters Recorder::finish derives (terminal-sink rule).
+OUTCOME_COUNTERS = (
+    "serve.completed", "serve.failed", "serve.degraded_completions",
+    "serve.deadline_expired", "serve.shed", "serve.cancelled",
+    "serve.rejected", "route.completed", "route.failed", "route.degraded",
+    "route.retries", "route.failovers",
+)
+
+
+def strip_comments(text: str) -> str:
+    """Blank out comments only (string literals kept), preserving lines."""
+    return re.sub(
+        r"""//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'""",
+        lambda m: m.group(0) if m.group(0)[0] in "\"'"
+        else "\n" * m.group(0).count("\n"),
+        text, flags=re.S)
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -506,6 +535,34 @@ class Linter:
                            "the vector exp4 (std::log / std::sqrt once per "
                            "row are fine)")
 
+    # ---- terminal-sink --------------------------------------------------------
+
+    def check_terminal_sink(self) -> None:
+        sink = self.root / "src" / "obs" / "recorder.cpp"
+        names = re.compile(
+            r'"(?:' + "|".join(re.escape(n) for n in OUTCOME_COUNTERS) +
+            r')"')
+        # A call of SloEngine::on_event: through an object (`.on_event(` /
+        # `->on_event(`) or qualified. slo.cpp's own definition
+        # (`void SloEngine::on_event(`) is not a call.
+        slo_call = re.compile(r"(?:\.|->|SloEngine::)\s*on_event\s*\(")
+        slo_definition = re.compile(r"\bvoid\s+SloEngine::on_event\s*\(")
+        for path in sorted((self.root / "src").rglob("*")):
+            if path.suffix not in (".hpp", ".cpp", ".inc") or path == sink:
+                continue
+            clean = strip_comments(path.read_text())
+            for lineno, line in enumerate(clean.splitlines(), 1):
+                if names.search(line):
+                    self.error(path, lineno, "terminal-sink",
+                               "outcome counter named outside "
+                               "src/obs/recorder.cpp — derive it in "
+                               "Recorder::finish from the request's record")
+                if slo_call.search(line) and not slo_definition.search(line):
+                    self.error(path, lineno, "terminal-sink",
+                               "SLO event sent outside src/obs/recorder.cpp "
+                               "— Recorder::finish derives it from the "
+                               "request's record")
+
     # ---- driver -------------------------------------------------------------
 
     def run(self) -> int:
@@ -521,6 +578,7 @@ class Linter:
         self.check_unannotated_shared()
         self.check_plan_float_math()
         self.check_rows_libm()
+        self.check_terminal_sink()
         if self.errors:
             for e in self.errors:
                 print(e)
