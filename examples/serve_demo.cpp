@@ -1,6 +1,7 @@
 // serve_demo — the extractor as a service: train a small model, checkpoint
-// it (CRC-verified, atomically), stand up a fault-tolerant InferenceServer,
-// fire concurrent requests at it, and read the stats surface. A compressed
+// it (CRC-verified, atomically), stand up a fault-tolerant InferenceServer
+// (which compiles the model into a plan and serves only plans), fire
+// concurrent requests at it, and read the stats surface. A compressed
 // tour of src/serve/ (see DESIGN.md "Serving runtime", "Fault tolerance
 // contract" and §11 "Observability model").
 //
@@ -12,10 +13,6 @@
 //                   (the registry) and tsdx_trace.json (Perfetto-loadable
 //                   span trace). Forces full tracing unless TSDX_TRACE was
 //                   set explicitly, so the dumped trace is never empty.
-//   --compiled      serve through compiled inference plans
-//                   (ServerConfig::use_compiled_plan): one traced plan per
-//                   clip geometry, fused ops, per-worker arenas. Results are
-//                   bit-identical to the dynamic path.
 //   --out-dir DIR   where --metrics-dump writes its files (created if
 //                   missing; default: the working directory). Also writes
 //                   tsdx_recorder.json, the flight-recorder ring, so
@@ -62,21 +59,17 @@ bool write_file(const std::string& path, const std::string& body) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool metrics_dump = false;
-  bool compiled = false;
   std::string out_dir = ".";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--metrics-dump") == 0) {
       metrics_dump = true;
-    } else if (std::strcmp(argv[i], "--compiled") == 0) {
-      compiled = true;
     } else if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
       out_dir = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--metrics-dump] [--compiled] "
-                   "[--out-dir DIR]\n",
+                   "usage: %s [--smoke] [--metrics-dump] [--out-dir DIR]\n",
                    argv[0]);
       return 2;
     }
@@ -139,11 +132,8 @@ int main(int argc, char** argv) {
   sc.fallback = serve::MajorityFallback::fit(train);
   sc.circuit.fault_threshold = 3;
   sc.circuit.cooldown = std::chrono::milliseconds(250);
-  sc.use_compiled_plan = compiled;
-  if (compiled) {
-    std::printf("compiled-plan execution on: each geometry traces once, "
-                "then runs fused from a per-worker arena\n");
-  }
+  // Construction compiles the model (two traces, at B=1 and B=2) into one
+  // plan that serves every batch size from a per-worker arena.
   serve::InferenceServer server(extractor, sc);
 
   // 4. Concurrent clients, every request carrying a half-second deadline

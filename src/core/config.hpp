@@ -70,6 +70,9 @@ struct ModelConfig {
   /// Throws std::invalid_argument when geometry does not divide evenly.
   void validate() const;
 
+  /// Field-wise equality: the model half of the plan cache's key.
+  bool operator==(const ModelConfig&) const = default;
+
   /// Presets used throughout tests/benches.
   static ModelConfig tiny();   ///< dim 32, depth 2 — unit-test scale
   static ModelConfig small();  ///< dim 48, depth 4 — bench scale

@@ -35,16 +35,6 @@ const char* to_string(Recorder::Outcome outcome) {
   return "?";
 }
 
-const char* to_string(Recorder::Path path) {
-  switch (path) {
-    case Recorder::Path::kUnknown: return "unknown";
-    case Recorder::Path::kDynamic: return "dynamic";
-    case Recorder::Path::kPlan: return "plan";
-    case Recorder::Path::kFallback: return "fallback";
-  }
-  return "?";
-}
-
 Recorder::Recorder()
     : records_(kRingCapacity), epoch_(std::chrono::steady_clock::now()) {}
 
@@ -202,8 +192,7 @@ namespace {
 void append_record_json(std::ostringstream& os, const Recorder::Record& r) {
   os << "{\"id\": " << r.id << ", \"trace_id\": " << r.trace_id
      << ", \"kind\": \"" << to_string(r.kind) << "\", \"outcome\": \""
-     << to_string(r.outcome) << "\", \"path\": \"" << to_string(r.path)
-     << "\"";
+     << to_string(r.outcome) << "\"";
   if (r.admission != nullptr) os << ", \"admission\": \"" << r.admission
                                  << "\"";
   os << ", \"batch_id\": " << r.batch_id << ", \"batch_size\": "

@@ -6,14 +6,14 @@
 // the fleet doing" but forget individual requests. The recorder fills the
 // gap between them: for the last kRingCapacity requests it keeps *one record
 // each* carrying the request's full serving story — admission verdict,
-// queue-wait, batch id/size, worker, replica, retry/failover counts,
-// plan-vs-dynamic execution path, and a per-segment timestamp timeline —
+// queue-wait, batch id/size, worker, replica, retry/failover counts and a
+// per-segment timestamp timeline —
 // cheap enough to leave on even with tracing off (TSDX_TRACE=off mints
 // trace id 0; the record is still written, it just cannot be joined against
 // spans).
 //
 // The request owns its record (DESIGN.md §17): begin() hands back a Record
-// by value, the serving layer writes milestones, batch, path, replica and
+// by value, the serving layer writes milestones, batch, worker, replica and
 // retries into it as plain field writes, and finish() is the one terminal
 // sink per hop. begin() publishes the record's begin-time fields to the ring
 // so in-flight requests show up in dumps; finish() publishes the closed
@@ -78,9 +78,6 @@ class Recorder {
     kCancelled,
   };
 
-  /// Which execution path answered the request.
-  enum class Path : std::uint8_t { kUnknown, kDynamic, kPlan, kFallback };
-
   /// One request's flight record. POD-ish by design: snapshot() copies the
   /// ring wholesale.
   struct Record {
@@ -88,7 +85,6 @@ class Recorder {
     std::uint64_t trace_id = 0;
     Kind kind = Kind::kServer;
     Outcome outcome = Outcome::kInFlight;
-    Path path = Path::kUnknown;
     const char* admission = nullptr;  ///< static verdict string, router only
     std::uint64_t batch_id = 0;       ///< 0 = never batched
     std::uint32_t batch_size = 0;
@@ -197,7 +193,6 @@ class Recorder {
 
 const char* to_string(Recorder::Kind kind);
 const char* to_string(Recorder::Outcome outcome);
-const char* to_string(Recorder::Path path);
 
 /// Serialize a record list as a JSON array (no wrapper object); shared by
 /// Recorder::to_json and the SLO engine's anomaly dumps so

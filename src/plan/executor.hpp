@@ -1,32 +1,32 @@
 // executor.hpp — running compiled plans in the serving path.
 //
 // Three pieces:
-//   * Arena       — one float block per worker (std::vector alignment; see
-//                   the member comment). ensure() growths are counted so
-//                   tests can assert the hot path stops allocating after
-//                   warm-up.
-//   * PlanCache   — geometry -> compiled plan, shared across workers behind
-//                   a tsdx::Mutex at lockorder::Rank::kPlan (rank 43, below
-//                   the tsdx::par ranks: compilation traces a forward that
-//                   fans out through the pool while the cache lock is
-//                   held). Trace failures are cached as null so an
-//                   uncompilable model costs one attempt, not one per
-//                   batch.
+//   * Arena       — one kArenaAlignment-aligned, uninitialized float block
+//                   per worker. Pages no run touches never become resident,
+//                   so reserving for max_batch up front costs only address
+//                   space. ensure() growths are counted so tests can assert
+//                   the hot path stops allocating after warm-up.
+//   * PlanCache   — (model config, clip geometry, weights) -> PolyPlan,
+//                   behind a tsdx::Mutex at lockorder::Rank::kPlan (rank 43,
+//                   below the tsdx::par ranks: compilation traces forwards
+//                   that fan out through the pool while the cache lock is
+//                   held). PlanCache::global() is the one process-wide
+//                   cache every InferenceServer and Router replica shares;
+//                   private caches stay constructible for tests and benches.
 //   * PlanExecutor— per-worker facade with the extractor's contract:
-//                   extract_batch() runs the plan and decodes its logits
-//                   with the extractor's own decoder (core::decode_results,
-//                   argmax or constrained). It falls back to the dynamic
-//                   path only for an unfrozen model or a trace failure,
-//                   bumping plan.fallbacks.
+//                   extract_batch() runs the plan instantiated at the
+//                   batch's size and decodes its logits with the
+//                   extractor's own decoder (core::decode_results, argmax
+//                   or constrained). There is no dynamic fallback: a model
+//                   that does not compile fails when the executor (or the
+//                   server) is built.
 //
 // The compiled path's logits are bit-identical to the dynamic path's (see
-// plan.hpp) and both decode through the same function; the server may
-// therefore flip ServerConfig::use_compiled_plan without any output
-// contract change.
+// plan.hpp) and both decode through the same function, so a served answer
+// equals ScenarioExtractor::extract_batch's for the same clips.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -37,79 +37,114 @@
 namespace tsdx::plan {
 
 /// Flat scratch block for one worker's plan executions. Never shrinks;
-/// grow() is the only allocation the compiled hot path can trigger, and the
-/// growth counter exposes exactly when it does.
+/// ensure() is the only allocation the compiled hot path can trigger, and
+/// the growth counter exposes exactly when it does.
 class Arena {
  public:
   Arena() = default;
 
   /// Ensure capacity >= bytes; reallocates (and counts a growth) only when
-  /// the current block is too small.
+  /// the current block is too small. The block is left uninitialized.
   float* ensure(std::size_t bytes);
 
-  float* data() { return block_.data(); }
-  std::size_t capacity_bytes() const { return block_.size() * sizeof(float); }
-  /// How many times ensure() had to (re)allocate. A steady-state worker
-  /// sits at 1 per geometry high-water mark — plan_test asserts this stays
-  /// flat across repeated batches.
+  float* data() { return block_.get(); }
+  std::size_t capacity_bytes() const { return capacity_; }
+  /// How many times ensure() had to (re)allocate. A server worker reserves
+  /// for max_batch once and stays at 1; plan_test asserts it stays flat
+  /// across repeated batches.
   std::uint64_t growths() const { return growths_; }
 
  private:
-  std::vector<float> block_;  // vector<float> keeps 64-byte alignment moot:
-                              // operator new aligns to max_align_t and the
-                              // kernels only need 4-byte float alignment;
-                              // the 64-byte rounding in memory.hpp is about
-                              // cache-line separation of reused buffers.
+  struct Free {
+    void operator()(float* block) const;
+  };
+  std::unique_ptr<float, Free> block_;
+  std::size_t capacity_ = 0;
   std::uint64_t growths_ = 0;
 };
 
-/// Shared, thread-safe cache of compiled plans keyed by input geometry.
-/// One cache per server; workers share it so a geometry compiles once.
+/// Shared, thread-safe cache of compiled plans. The key is the model's
+/// config, the clip geometry, this cache's CompileOptions and the exact
+/// weights: a hit is confirmed by comparing the model's parameter bytes
+/// with the plan's snapshot, so a model rebuilt from the same seed reuses
+/// the plan and one that differs by a single weight bit compiles its own.
 class PlanCache {
  public:
   explicit PlanCache(CompileOptions options = {});
 
-  /// The plan for `input_shape`, compiling on miss (the compile runs under
-  /// the cache lock — concurrent workers wait rather than duplicating the
-  /// trace). Returns nullptr when compilation failed; the failure is
-  /// remembered.
+  /// The process-wide cache (default CompileOptions). Every InferenceServer
+  /// compiles through it, so servers and Router replicas of one model share
+  /// one plan.
+  static PlanCache& global();
+
+  /// The plan for `model` at the clip geometry its ModelConfig fixes,
+  /// compiling on miss (under the cache lock — concurrent callers wait
+  /// rather than duplicating the traces). Throws TraceError when the model
+  /// does not compile (training mode, untraceable ops, a backbone other
+  /// than the video transformer, or a forward that does not scale with B);
+  /// failures are counted in plan.trace_errors and not cached.
+  std::shared_ptr<const PolyPlan> get_or_compile(
+      const core::ScenarioModel& model) TSDX_EXCLUDES(mutex_);
+
+  /// The same plan keyed by `input_shape`'s clip geometry, instantiated at
+  /// input_shape[0].
   std::shared_ptr<const Plan> get_or_compile(const core::ScenarioModel& model,
                                              const tensor::Shape& input_shape)
       TSDX_EXCLUDES(mutex_);
 
   const CompileOptions& options() const { return options_; }
+  /// Plans held (at most kCapacity).
+  std::size_t size() const TSDX_EXCLUDES(mutex_);
+
+  /// Entries kept before the least recently used one is dropped (servers
+  /// already holding its plan keep it alive).
+  static constexpr std::size_t kCapacity = 8;
 
  private:
+  struct Entry {
+    core::ModelConfig config;
+    std::shared_ptr<const PolyPlan> plan;
+  };
+
+  std::shared_ptr<const PolyPlan> lookup_or_compile(
+      const core::ScenarioModel& model, const tensor::Shape& clip_shape)
+      TSDX_EXCLUDES(mutex_);
+
   const CompileOptions options_;
   mutable Mutex mutex_{"plan.cache", lockorder::Rank::kPlan};
-  std::map<tensor::Shape, std::shared_ptr<const Plan>> plans_
-      TSDX_GUARDED_BY(mutex_);
+  /// Least recently used first.
+  std::vector<Entry> entries_ TSDX_GUARDED_BY(mutex_);
 };
 
-/// Per-worker compiled execution with dynamic fallback. Not thread-safe
-/// (each worker owns one); the shared pieces (cache, extractor) are.
+/// Per-worker compiled execution. Not thread-safe (each worker owns one);
+/// the shared pieces (plan, extractor) are.
 class PlanExecutor {
  public:
+  /// Run `plan` for `extractor`'s model. A nonzero `max_batch` reserves
+  /// the arena for that many clips now, so no batch up to it ever grows
+  /// it.
   PlanExecutor(std::shared_ptr<const core::ScenarioExtractor> extractor,
-               std::shared_ptr<PlanCache> cache);
+               std::shared_ptr<const PolyPlan> plan,
+               std::size_t max_batch = 0);
 
-  /// Drop-in for ScenarioExtractor::extract_batch. Compiled when possible,
-  /// dynamic otherwise — same results either way.
-  std::vector<core::ExtractionResult> extract_batch(
-      const data::Batch& batch);
+  /// Compile (or look up) the extractor's plan in `cache` now; the arena
+  /// grows on demand.
+  PlanExecutor(std::shared_ptr<const core::ScenarioExtractor> extractor,
+               const std::shared_ptr<PlanCache>& cache);
+
+  /// Drop-in for ScenarioExtractor::extract_batch, same results. The
+  /// batch must have the plan's clip geometry.
+  std::vector<core::ExtractionResult> extract_batch(const data::Batch& batch);
 
   const Arena& arena() const { return arena_; }
-  /// Did the most recent extract_batch() run a compiled plan (vs the
-  /// dynamic fallback)? The server stamps this into the flight recorder as
-  /// the request's execution path.
-  bool last_used_plan() const { return last_used_plan_; }
 
  private:
   std::shared_ptr<const core::ScenarioExtractor> extractor_;
-  std::shared_ptr<PlanCache> cache_;
+  std::shared_ptr<const PolyPlan> plan_;
+  /// plan_ instantiated at each batch size this worker has run, by B.
+  std::vector<std::shared_ptr<const Plan>> by_batch_;
   Arena arena_;
-  bool last_used_plan_ = false;
-  std::uint64_t plan_executions_ = 0;  // compiled runs by *this* executor
+  std::uint64_t executions_ = 0;  // runs by *this* executor
 };
 
 }  // namespace tsdx::plan

@@ -2,11 +2,13 @@
 //
 // A Graph is born from one traced dynamic forward (trace.hpp): every tensor
 // the forward created becomes a Value, every hooked tensor op becomes an Op
-// in execution order. Passes (passes.hpp) then rewrite it — constants fold,
-// reshapes collapse into aliases, adjacent ops fuse — and the memory planner
-// (memory.hpp) assigns every surviving intermediate an offset in a single
-// per-worker arena. The result executes through Plan (plan.hpp) with zero
-// heap allocation per forward.
+// in execution order, and ops over frozen inputs fold into constants as
+// they are traced. Passes (passes.hpp) then fuse adjacent ops, and the
+// memory planner (memory.hpp) assigns every surviving intermediate an
+// offset in a single per-worker arena. Two such graphs, traced at B=1 and
+// B=2, make one batch-polymorphic PolyPlan (plan.hpp); the Graph a Plan
+// executes is that pair instantiated at one batch size, with zero heap
+// allocation per forward.
 //
 // Design invariants:
 //   * Ops stay in trace order. The dynamic path executed them in exactly
@@ -16,10 +18,14 @@
 //     resolved at compile time from the traced node shapes. Values only
 //     carry storage facts; an aliased Value (reshape) shares its root's
 //     buffer even though the traced shapes differed.
+//   * A Graph never holds a traced intermediate's data. Frozen values are
+//     copied into the plan (constants, weights); everything else is a size.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sdl/description.hpp"
@@ -27,15 +33,22 @@
 
 namespace tsdx::plan {
 
+/// Alignment of every arena offset (memory.hpp) and of the arena block a
+/// worker runs plans in (executor.hpp's Arena): each intermediate starts on
+/// its own cache line. That is a performance contract only — the kernels
+/// need nothing beyond float alignment, so Plan::run is also correct on a
+/// plain std::vector<float> arena, as the tests use.
+inline constexpr std::size_t kArenaAlignment = 64;
+
 using ValueId = std::int32_t;
 inline constexpr ValueId kNoValue = -1;
 
 /// Where a Value's bytes live at execution time.
 enum class ValueKind : std::uint8_t {
   kInput,     ///< the video batch, bound per call (caller's buffer, no copy)
-  kExternal,  ///< frozen weight/table: the plan holds the model node alive
-              ///< and reads its storage in place
-  kConstant,  ///< folded at compile time; storage owned by the plan
+  kExternal,  ///< model parameter: read from the plan's weight snapshot
+  kConstant,  ///< folded at compile time (or a non-parameter table the
+              ///< forward reads); storage owned by the plan
   kArena,     ///< intermediate, placed in the per-worker arena
 };
 
@@ -44,13 +57,15 @@ struct Value {
   std::int64_t numel = 0;
   ValueId alias_of = kNoValue;  ///< reshape/in-place alias: share root buffer
 
-  /// Compile-time handle on the traced node: data source for constant
-  /// folding, and (for kExternal) shared ownership of the weight storage.
-  /// Released for kArena values once compilation finishes.
+  /// kExternal, compile time only: the model node the forward read. The
+  /// compiler binds it to its bytes in the weight snapshot, then drops it.
   tensor::NodePtr traced;
 
-  std::vector<float> constant;  ///< kConstant payload
-  std::size_t offset = 0;       ///< kArena byte offset (memory.hpp)
+  /// kConstant payload, shared by every batch instantiation of a plan.
+  std::shared_ptr<const std::vector<float>> constant;
+  /// Byte offset: into the arena (kArena) or the weight snapshot
+  /// (kExternal).
+  std::size_t offset = 0;
 };
 
 /// Executable op kinds: the traced set plus the three fusions. Reshape and
@@ -111,6 +126,10 @@ struct Graph {
 
   std::size_t arena_bytes = 0;  ///< set by plan_memory
   int fused_ops = 0;            ///< set by the fusion passes
+  /// Every model parameter, concatenated in ScenarioModel::parameters()
+  /// order: kExternal values point into it. Also the plan cache's key
+  /// bytes, so a plan never reads weights other than the ones it matched.
+  std::shared_ptr<const std::vector<float>> weights;
 
   /// Follow alias_of links to the value that owns the storage.
   ValueId root(ValueId id) const {

@@ -7,7 +7,7 @@ namespace tsdx::plan {
 
 std::size_t aligned_bytes(std::int64_t numel) {
   const std::size_t raw = static_cast<std::size_t>(numel) * sizeof(float);
-  return (raw + 63) & ~static_cast<std::size_t>(63);
+  return (raw + kArenaAlignment - 1) & ~(kArenaAlignment - 1);
 }
 
 namespace {

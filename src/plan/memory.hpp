@@ -9,15 +9,20 @@
 // input that dies at that op (the kernels in plan.cpp read each element
 // before writing it, so aliasing is safe and bit-exact).
 //
-// Offsets are 64-byte aligned so reused buffers keep cache-line-friendly
-// starts regardless of which value occupied them last.
+// The layout is planned once per clip (on the B=1 trace) and reused at
+// every batch size B by multiplying each offset and the high-water mark by
+// B (PolyPlan::at): intervals disjoint at B=1 stay disjoint, and a value
+// whose size scales with B (or stays constant) still fits in its B-fold
+// interval. Offsets are multiples of kArenaAlignment (graph.hpp) at every
+// B, so reused buffers keep cache-line starts regardless of which value
+// occupied them last.
 #pragma once
 
 #include "plan/graph.hpp"
 
 namespace tsdx::plan {
 
-/// Byte size a value occupies in the arena (64-byte aligned).
+/// Byte size a value occupies in the arena (kArenaAlignment multiple).
 std::size_t aligned_bytes(std::int64_t numel);
 
 /// Assign graph.values[*].offset for every live kArena root and set

@@ -43,35 +43,7 @@ void erase_ops(Graph& g, std::vector<std::size_t> dead) {
   g.ops = std::move(kept);
 }
 
-bool frozen_kind(const Graph& g, ValueId id) {
-  const ValueKind kind = g.values[static_cast<std::size_t>(g.root(id))].kind;
-  return kind == ValueKind::kExternal || kind == ValueKind::kConstant;
-}
-
 }  // namespace
-
-void fold_constants(Graph& graph) {
-  std::vector<std::size_t> dead;
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-    const Op& op = graph.ops[i];
-    bool all_frozen = true;
-    for (ValueId in : op.inputs) {
-      if (!frozen_kind(graph, in)) {
-        all_frozen = false;
-        break;
-      }
-    }
-    if (!all_frozen) continue;
-    Value& out = graph.values[static_cast<std::size_t>(op.out)];
-    // The traced node holds the exact value the dynamic forward computed
-    // for this op — snapshotting it *is* the fold.
-    out.kind = ValueKind::kConstant;
-    out.constant = out.traced->data;
-    out.alias_of = kNoValue;
-    dead.push_back(i);
-  }
-  erase_ops(graph, std::move(dead));
-}
 
 void fuse_bias_gelu(Graph& graph) {
   const auto consumers = consumer_map(graph);

@@ -2,12 +2,12 @@
 //
 // Every pass preserves bit-exact equivalence with the dynamic path: fused
 // kernels replay the same per-element arithmetic in the same order as the
-// op pair they replace, constants are snapshots of values the dynamic
-// forward actually computed, and op order never changes (DESIGN.md §16
-// spells out the per-fusion argument).
+// op pair they replace, and op order never changes (DESIGN.md §16 spells
+// out the per-fusion argument). Constant folding happens in the tracer
+// itself (trace.hpp), so a trace never keeps an intermediate's data.
 //
-// Pass order in compile(): fold_constants → fuse_* (each gated by
-// CompileOptions) → plan_memory (memory.hpp).
+// Pass order in PolyPlan::compile(): fuse_* (each gated by CompileOptions,
+// on both traces) → plan_memory (memory.hpp).
 #pragma once
 
 #include "plan/graph.hpp"
@@ -20,12 +20,9 @@ struct CompileOptions {
   bool fuse_bias_gelu = true;
   bool fuse_attention_softmax = true;
   bool fuse_residual_norm = true;
-};
 
-/// Ops whose inputs are all frozen (externals or earlier constants) compute
-/// the same value every forward: snapshot the traced result and drop the
-/// op. Folds the positional-embedding arithmetic out of the hot path.
-void fold_constants(Graph& graph);
+  bool operator==(const CompileOptions&) const = default;
+};
 
 /// add(x, bias) → gelu  ⇒  kBiasGelu (the Linear-into-GELU seam in Mlp).
 /// Fires when the add is a suffix broadcast and the gelu is its only

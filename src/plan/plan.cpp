@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <sstream>
+#include <unordered_map>
 
 #include "core/check.hpp"
 #include "obs/metrics.hpp"
@@ -57,9 +58,9 @@ struct Binding {
       case ValueKind::kInput:
         return input;
       case ValueKind::kExternal:
-        return v.traced->data.data();
+        return graph.weights->data() + v.offset / sizeof(float);
       case ValueKind::kConstant:
-        return v.constant.data();
+        return v.constant->data();
       case ValueKind::kArena:
         return arena + v.offset / sizeof(float);
     }
@@ -283,24 +284,154 @@ void run_op(const Op& op, const Binding& b) {
 
 }  // namespace
 
-std::shared_ptr<const Plan> Plan::compile(const core::ScenarioModel& model,
-                                          const tensor::Shape& input_shape,
-                                          const CompileOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  TSDX_TRACE_SPAN("plan.compile");
+namespace {
 
-  Graph graph = trace_model(model, input_shape);
-  fold_constants(graph);
+// ---- batch polymorphism ----------------------------------------------------
+
+/// The attribute on the line through (1, one) and (2, two), at `batch`.
+/// With two == one or two == 2 * one (check_scaling) this is one or
+/// batch * one — scaling only.
+std::int64_t at_batch(std::int64_t one, std::int64_t two,
+                      std::int64_t batch) {
+  return one + (batch - 1) * (two - one);
+}
+
+bool scales(std::int64_t one, std::int64_t two) {
+  return two == one || two == 2 * one;
+}
+
+/// Integer op attributes that may scale with B.
+struct ScaledAttr {
+  std::int64_t Op::*field;
+  const char* name;
+};
+constexpr ScaledAttr kScaledAttrs[] = {
+    {&Op::bcast_m, "bcast_m"}, {&Op::rows, "rows"},   {&Op::cols, "cols"},
+    {&Op::batch, "batch"},     {&Op::m, "m"},         {&Op::k, "k"},
+    {&Op::n, "n"},             {&Op::outer, "outer"}, {&Op::red, "red"},
+    {&Op::inner, "inner"},
+};
+
+[[noreturn]] void not_polymorphic(std::size_t op, const Op& o,
+                                  const std::string& what) {
+  throw TraceError("plan: op #" + std::to_string(op) + " " +
+                   to_string(o.type) + ": " + what +
+                   " does not scale with the batch size between the B=1 "
+                   "and B=2 traces");
+}
+
+/// Require `pair` (traced at B=2) to be `unit` (B=1) with every differing
+/// attribute and value size doubled.
+void check_scaling(const Graph& unit, const Graph& pair) {
+  if (unit.ops.size() != pair.ops.size() ||
+      unit.values.size() != pair.values.size() ||
+      unit.fused_ops != pair.fused_ops || unit.input != pair.input ||
+      unit.logits != pair.logits) {
+    throw TraceError(
+        "plan: the B=1 and B=2 traces differ in structure (the forward "
+        "branches on the batch size)");
+  }
+  for (std::size_t i = 0; i < unit.ops.size(); ++i) {
+    const Op& a = unit.ops[i];
+    const Op& b = pair.ops[i];
+    if (a.type != b.type || a.inputs != b.inputs || a.out != b.out ||
+        a.out2 != b.out2 || a.bcast != b.bcast ||
+        a.shared_rhs != b.shared_rhs) {
+      not_polymorphic(i, a, "its operands or layout");
+    }
+    if (a.scalar != b.scalar) not_polymorphic(i, a, "attribute scalar");
+    if (a.eps != b.eps) not_polymorphic(i, a, "attribute eps");
+    for (const ScaledAttr& attr : kScaledAttrs) {
+      if (!scales(a.*attr.field, b.*attr.field)) {
+        not_polymorphic(i, a, std::string("attribute ") + attr.name);
+      }
+    }
+    if (a.out_extents.size() != b.out_extents.size() ||
+        a.gather.size() != b.gather.size()) {
+      not_polymorphic(i, a, "permute rank");
+    }
+    for (std::size_t d = 0; d < a.out_extents.size(); ++d) {
+      if (!scales(a.out_extents[d], b.out_extents[d]) ||
+          !scales(a.gather[d], b.gather[d])) {
+        not_polymorphic(i, a, "permute axis " + std::to_string(d));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < unit.values.size(); ++i) {
+    const Value& a = unit.values[i];
+    const Value& b = pair.values[i];
+    const bool same_source =
+        a.kind == b.kind && a.alias_of == b.alias_of &&
+        (a.kind != ValueKind::kConstant || *a.constant == *b.constant) &&
+        (a.kind != ValueKind::kExternal || a.traced == b.traced);
+    if (!same_source || !scales(a.numel, b.numel)) {
+      throw TraceError("plan: value v" + std::to_string(i) +
+                       " (numel " + std::to_string(a.numel) + " at B=1, " +
+                       std::to_string(b.numel) +
+                       " at B=2) does not scale with the batch size");
+    }
+  }
+}
+
+/// Copy every model parameter into one snapshot and point the graph's
+/// externals at it. Externals that are not parameters (the sinusoidal
+/// positional table) become constants. Afterwards the graph refers to no
+/// model node.
+void bind_weights(Graph& graph, const core::ScenarioModel& model) {
+  auto weights = std::make_shared<std::vector<float>>();
+  std::unordered_map<const tt::Node*, std::size_t> offsets;
+  for (const tt::Tensor& p : model.parameters()) {
+    const std::vector<float>& data = p.node()->data;
+    offsets.emplace(p.node().get(), weights->size() * sizeof(float));
+    weights->insert(weights->end(), data.begin(), data.end());
+  }
+  for (Value& v : graph.values) {
+    if (v.kind != ValueKind::kExternal) continue;
+    const auto it = offsets.find(v.traced.get());
+    if (it != offsets.end()) {
+      v.offset = it->second;
+    } else {
+      v.kind = ValueKind::kConstant;
+      v.constant = std::make_shared<const std::vector<float>>(v.traced->data);
+    }
+    v.traced.reset();
+  }
+  graph.weights = std::move(weights);
+}
+
+Graph trace_and_fuse(const core::ScenarioModel& model, std::int64_t batch,
+                     const tensor::Shape& clip_shape,
+                     const CompileOptions& options) {
+  tensor::Shape shape{batch};
+  shape.insert(shape.end(), clip_shape.begin(), clip_shape.end());
+  Graph graph = trace_model(model, shape);
   if (options.fuse_attention_softmax) fuse_attention_softmax(graph);
   if (options.fuse_bias_gelu) fuse_bias_gelu(graph);
   if (options.fuse_residual_norm) fuse_residual_norm(graph);
-  plan_memory(graph);
+  return graph;
+}
 
-  // Drop compile-only node handles: arena/constant values no longer need
-  // the traced storage (externals keep theirs — that *is* the weight).
-  for (Value& v : graph.values) {
-    if (v.kind != ValueKind::kExternal) v.traced.reset();
+}  // namespace
+
+std::shared_ptr<const PolyPlan> PolyPlan::compile(
+    const core::ScenarioModel& model, const tensor::Shape& clip_shape,
+    const CompileOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
+  TSDX_TRACE_SPAN("plan.compile");
+
+  std::shared_ptr<PolyPlan> poly(new PolyPlan());
+  poly->clip_shape_ = clip_shape;
+  poly->options_ = options;
+  poly->unit_ = trace_and_fuse(model, 1, clip_shape, options);
+  {
+    const Graph pair = trace_and_fuse(model, 2, clip_shape, options);
+    check_scaling(poly->unit_, pair);
+    poly->pair_ops_ = pair.ops;
+    poly->pair_numel_.reserve(pair.values.size());
+    for (const Value& v : pair.values) poly->pair_numel_.push_back(v.numel);
   }
+  plan_memory(poly->unit_);
+  bind_weights(poly->unit_, model);
 
   const double ms =
       std::chrono::duration<double, std::milli>(
@@ -309,12 +440,48 @@ std::shared_ptr<const Plan> Plan::compile(const core::ScenarioModel& model,
   auto& reg = obs::Registry::global();
   reg.histogram("plan.compile_ms").observe(ms);
   reg.gauge("plan.arena_bytes")
-      .update_max(static_cast<std::int64_t>(graph.arena_bytes));
+      .update_max(static_cast<std::int64_t>(poly->unit_.arena_bytes));
   reg.counter("plan.fused_ops")
-      .inc(static_cast<std::uint64_t>(graph.fused_ops));
+      .inc(static_cast<std::uint64_t>(poly->unit_.fused_ops));
   reg.counter("plan.compiled").inc();
+  return poly;
+}
 
+std::shared_ptr<const Plan> PolyPlan::at(std::int64_t batch) const {
+  TSDX_CHECK(batch >= 1, "PolyPlan::at: batch must be >= 1, got ", batch);
+  Graph graph = unit_;
+  for (std::size_t i = 0; i < graph.ops.size(); ++i) {
+    Op& op = graph.ops[i];
+    const Op& two = pair_ops_[i];
+    for (const ScaledAttr& attr : kScaledAttrs) {
+      op.*attr.field = at_batch(op.*attr.field, two.*attr.field, batch);
+    }
+    for (std::size_t d = 0; d < op.out_extents.size(); ++d) {
+      op.out_extents[d] =
+          at_batch(op.out_extents[d], two.out_extents[d], batch);
+      op.gather[d] = at_batch(op.gather[d], two.gather[d], batch);
+    }
+  }
+  for (std::size_t i = 0; i < graph.values.size(); ++i) {
+    Value& v = graph.values[i];
+    v.numel = at_batch(v.numel, pair_numel_[i], batch);
+    // The per-clip layout, `batch` times over: disjoint per-clip intervals
+    // stay disjoint, and each holds its value at any B (memory.hpp).
+    if (v.kind == ValueKind::kArena) {
+      v.offset *= static_cast<std::size_t>(batch);
+    }
+  }
+  graph.arena_bytes = arena_bytes(batch);
+  graph.input_shape.front() = batch;
   return std::shared_ptr<const Plan>(new Plan(std::move(graph)));
+}
+
+std::shared_ptr<const Plan> Plan::compile(const core::ScenarioModel& model,
+                                          const tensor::Shape& input_shape,
+                                          const CompileOptions& options) {
+  TSDX_CHECK(!input_shape.empty(), "Plan::compile: empty input shape");
+  const tensor::Shape clip(input_shape.begin() + 1, input_shape.end());
+  return PolyPlan::compile(model, clip, options)->at(input_shape.front());
 }
 
 void Plan::run(const float* input, float* arena) const {
@@ -342,7 +509,7 @@ std::string Plan::debug_dump() const {
     out << "  v" << i << " numel=" << v.numel;
     switch (v.kind) {
       case ValueKind::kInput: out << " input"; break;
-      case ValueKind::kExternal: out << " external"; break;
+      case ValueKind::kExternal: out << " weights+" << v.offset; break;
       case ValueKind::kConstant: out << " constant"; break;
       case ValueKind::kArena:
         if (v.alias_of != kNoValue) {

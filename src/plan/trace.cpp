@@ -1,9 +1,10 @@
 #include "plan/trace.hpp"
 
+#include <atomic>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/trace_hook.hpp"
@@ -14,16 +15,29 @@ namespace tt = tsdx::tensor;
 
 namespace {
 
+/// Process-wide source of Node::trace_id. Ids start at 1 (0 means "not
+/// created under a trace") and never repeat, so a tracer recognizes its own
+/// nodes as those stamped at or after the id it started from.
+std::atomic<std::uint64_t> g_next_trace_id{1};
+
 /// Collects the two trace streams into a Graph. Structural errors are
 /// deferred until finish(): throwing out of on_op would unwind through the
 /// traced forward with the sink still installed.
 class Tracer final : public tt::trace::Sink {
  public:
+  /// `input` was created before the sink went live; it is the one
+  /// non-frozen value the forward reads from outside the trace.
+  explicit Tracer(const tt::Node& input)
+      : first_id_(g_next_trace_id.load(std::memory_order_relaxed)) {
+    Value v;
+    v.kind = ValueKind::kInput;
+    v.numel = input.numel();
+    graph_.input = add_value(std::move(v));
+    outside_.emplace(&input, graph_.input);
+  }
+
   void on_node(const tt::NodePtr& node) override {
-    created_.insert(node.get());
-    // Hold the node so an id registered later can still read its data even
-    // if the forward dropped its last Tensor handle.
-    keepalive_.push_back(node);
+    node->trace_id = g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
   }
 
   void on_op(const tt::trace::OpRecord& rec) override {
@@ -38,44 +52,50 @@ class Tracer final : public tt::trace::Sink {
         v.kind = ValueKind::kArena;
         v.numel = rec.output->numel();
         v.alias_of = src;
-        v.traced = rec.output;
-        claim(rec.output, add_value(std::move(v)));
+        claim(*rec.output, add_value(std::move(v)));
         return;
       }
-      case tt::trace::OpKind::kEmbeddingLookup: {
+      case tt::trace::OpKind::kEmbeddingLookup:
         // The index list is a compile-time attribute the hook does not
         // carry, so the output is only reproducible by folding — which is
         // exactly right: the weight is frozen and the indices are fixed per
-        // geometry. Snapshot the traced result as a constant.
-        if (created_.contains(rec.inputs[0].get())) {
+        // geometry.
+        if (created_here(*rec.inputs[0])) {
           error_ = "embedding_lookup over a traced intermediate";
           return;
         }
-        Value v;
-        v.kind = ValueKind::kConstant;
-        v.numel = rec.output->numel();
-        v.constant = rec.output->data;
-        claim(rec.output, add_value(std::move(v)));
+        claim(*rec.output, add_constant(*rec.output));
         return;
-      }
       default:
         break;
     }
 
     Op op;
     op.inputs.reserve(rec.inputs.size());
+    bool all_frozen = true;
     for (const tt::NodePtr& in : rec.inputs) {
-      op.inputs.push_back(value_of(in));
+      const ValueId id = value_of(in);
       if (!error_.empty()) return;
+      op.inputs.push_back(id);
+      const ValueKind kind =
+          graph_.values[static_cast<std::size_t>(graph_.root(id))].kind;
+      all_frozen = all_frozen && (kind == ValueKind::kExternal ||
+                                  kind == ValueKind::kConstant);
+    }
+    if (all_frozen) {
+      // Same value every forward: the traced result *is* the fold. This is
+      // the one place an op's data is kept (the positional-embedding
+      // arithmetic, for one).
+      claim(*rec.output, add_constant(*rec.output));
+      return;
     }
     if (!resolve_attrs(rec, op)) return;
 
     Value v;
     v.kind = ValueKind::kArena;
     v.numel = rec.output->numel();
-    v.traced = rec.output;
     op.out = add_value(std::move(v));
-    claim(rec.output, op.out);
+    claim(*rec.output, op.out);
     graph_.ops.push_back(std::move(op));
   }
 
@@ -89,45 +109,77 @@ class Tracer final : public tt::trace::Sink {
   /// tolerated: default-constructed Tensor placeholders (e.g.
   /// SlotHeads::forward's std::array<Tensor, kNumSlots>) are exactly such
   /// nodes.
-  Graph finish(const tt::Tensor& input,
-               const std::array<tt::Tensor, sdl::kNumSlots>& logits) {
+  Graph finish(const tt::Shape& input_shape,
+               const std::array<tt::Tensor, sdl::kNumSlots>& logits,
+               TraceStats* stats) {
     if (!error_.empty()) throw TraceError("plan trace: " + error_);
-    const auto input_it = ids_.find(input.node().get());
-    if (input_it == ids_.end()) {
-      throw TraceError("plan trace: the input tensor never reached an op");
-    }
-    graph_.input = input_it->second;
-    graph_.values[static_cast<std::size_t>(graph_.input)].kind =
-        ValueKind::kInput;
-    graph_.input_shape = input.shape();
+    graph_.input_shape = input_shape;
     for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-      const auto it = ids_.find(logits[s].node().get());
-      if (it == ids_.end()) {
+      graph_.logits[s] = find(*logits[s].node());
+      if (graph_.logits[s] == kNoValue) {
         throw TraceError("plan trace: slot logits missing from the trace");
       }
-      graph_.logits[s] = it->second;
+    }
+    if (stats != nullptr) {
+      // Measured by walking what the graph holds, not by a running tally.
+      stats->retained_bytes = 0;
+      for (const Value& v : graph_.values) {
+        if (v.traced) {
+          stats->retained_bytes += v.traced->data.size() * sizeof(float);
+        }
+        if (v.constant) {
+          stats->retained_bytes += v.constant->size() * sizeof(float);
+        }
+      }
     }
     return std::move(graph_);
   }
 
  private:
+  bool created_here(const tt::Node& node) const {
+    return node.trace_id >= first_id_;
+  }
+
   ValueId add_value(Value v) {
     graph_.values.push_back(std::move(v));
     return static_cast<ValueId>(graph_.values.size() - 1);
   }
 
-  void claim(const tt::NodePtr& node, ValueId id) {
-    ids_.emplace(node.get(), id);
+  /// A folded value: a copy of the traced node's data, which the forward is
+  /// then free to drop.
+  ValueId add_constant(const tt::Node& node) {
+    Value v;
+    v.kind = ValueKind::kConstant;
+    v.numel = node.numel();
+    v.constant = std::make_shared<const std::vector<float>>(node.data);
+    return add_value(std::move(v));
+  }
+
+  void claim(const tt::Node& node, ValueId id) {
+    if (created_here(node)) {
+      by_id_.emplace(node.trace_id, id);
+    } else {
+      outside_.emplace(&node, id);
+    }
+  }
+
+  ValueId find(const tt::Node& node) const {
+    if (created_here(node)) {
+      const auto it = by_id_.find(node.trace_id);
+      return it == by_id_.end() ? kNoValue : it->second;
+    }
+    const auto it = outside_.find(&node);
+    return it == outside_.end() ? kNoValue : it->second;
   }
 
   /// Id of an op operand. Unknown nodes created outside the trace are
-  /// frozen externals (weights, positional tables, the input — the input is
-  /// re-classified in finish()). Unknown nodes created *inside* the trace
-  /// escaped through an unhooked op: defer the error.
+  /// frozen externals (weights, positional tables); they outlive the trace,
+  /// so their addresses are stable keys. Unknown nodes created *inside* the
+  /// trace escaped through an unhooked op: defer the error.
   ValueId value_of(const tt::NodePtr& node) {
-    const auto it = ids_.find(node.get());
-    if (it != ids_.end()) return it->second;
-    if (created_.contains(node.get())) {
+    const ValueId known = find(*node);
+    if (known != kNoValue) return known;
+    if (created_here(*node)) {
       error_ =
           "an unhooked op's result was consumed (shape " +
           tt::to_string(node->shape) + ")";
@@ -136,9 +188,11 @@ class Tracer final : public tt::trace::Sink {
     Value v;
     v.kind = ValueKind::kExternal;
     v.numel = node->numel();
+    // The model owns the node; holding it costs no bytes beyond the
+    // weights themselves.
     v.traced = node;
     const ValueId id = add_value(std::move(v));
-    ids_.emplace(node.get(), id);
+    outside_.emplace(node.get(), id);
     return id;
   }
 
@@ -242,10 +296,13 @@ class Tracer final : public tt::trace::Sink {
     return false;
   }
 
+  const std::uint64_t first_id_;
   Graph graph_;
-  std::unordered_map<const tt::Node*, ValueId> ids_;
-  std::unordered_set<const tt::Node*> created_;
-  std::vector<tt::NodePtr> keepalive_;
+  /// Nodes created under this trace, by Node::trace_id.
+  std::unordered_map<std::uint64_t, ValueId> by_id_;
+  /// Nodes from outside the trace (the input, the model's weights), by
+  /// address.
+  std::unordered_map<const tt::Node*, ValueId> outside_;
   std::string error_;
 };
 
@@ -265,21 +322,22 @@ class SinkScope {
 }  // namespace
 
 Graph trace_model(const core::ScenarioModel& model,
-                  const tensor::Shape& input_shape) {
+                  const tensor::Shape& input_shape, TraceStats* stats) {
   if (model.training()) {
     throw TraceError("plan trace: model is in training mode (freeze first)");
   }
-  // The probe input is created before the sink goes live so it reaches the
-  // tracer as an external (re-classified to kInput in finish()).
+  obs::Registry::global().counter("plan.traces").inc();
+  // The probe input is created before the sink goes live; the tracer
+  // registers it as the graph input up front, so no op over it folds.
   const tt::Tensor input = tt::Tensor::zeros(input_shape);
-  Tracer tracer;
+  Tracer tracer(*input.node());
   std::array<tt::Tensor, sdl::kNumSlots> logits;
   {
     tt::NoGradGuard no_grad;
     SinkScope scope(&tracer);
     logits = model.forward(input);
   }
-  return tracer.finish(input, logits);
+  return tracer.finish(input_shape, logits, stats);
 }
 
 }  // namespace tsdx::plan

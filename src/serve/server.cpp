@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -9,6 +11,7 @@
 #include "obs/slo.hpp"
 #include "serve/fault/inject.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/shape.hpp"
 
 namespace tsdx::serve {
 
@@ -16,29 +19,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Stack same-geometry clips into one [B, T, C, H, W] batch tensor. Clip
-/// storage is already [T, C, H, W] row-major, so stacking is concatenation.
+/// Stack clips into one [B, T, C, H, W] batch tensor. Clip storage is
+/// already [T, C, H, W] row-major and submit() admitted only clips of the
+/// model's geometry, so stacking is concatenation.
 nn::Tensor stack_clips(const std::vector<const sim::VideoClip*>& clips) {
   const sim::VideoClip& head = *clips.front();
-  const std::size_t per_clip =
-      static_cast<std::size_t>(head.frames * sim::kNumChannels * head.height *
-                               head.width);
   std::vector<float> stacked;
-  stacked.reserve(per_clip * clips.size());
+  stacked.reserve(head.data.size() * clips.size());
   for (const sim::VideoClip* clip : clips) {
-    TSDX_CHECK(clip->data.size() == per_clip,
-               "InferenceServer: clip data has ", clip->data.size(),
-               " values, geometry implies ", per_clip);
     stacked.insert(stacked.end(), clip->data.begin(), clip->data.end());
   }
   return nn::Tensor::from_vector(
       {static_cast<std::int64_t>(clips.size()), head.frames, sim::kNumChannels,
        head.height, head.width},
       std::move(stacked));
-}
-
-bool same_geometry(const sim::VideoClip& a, const sim::VideoClip& b) {
-  return a.frames == b.frames && a.height == b.height && a.width == b.width;
 }
 
 }  // namespace
@@ -48,9 +42,6 @@ InferenceServer::InferenceServer(
     ServerConfig config)
     : extractor_(std::move(extractor)),
       config_(std::move(config)),
-      plan_cache_(config_.use_compiled_plan
-                      ? std::make_shared<plan::PlanCache>()
-                      : nullptr),
       // Aliasing shared_ptr: global() is a process-lifetime static, so a
       // non-owning handle is safe and keeps the two cases uniform.
       registry_(config_.metrics != nullptr
@@ -77,6 +68,9 @@ InferenceServer::InferenceServer(
              "InferenceServer: model is in training mode; freeze it with "
              "model().set_training(false) before serving (training-mode "
              "dropout draws from the shared Rng and is not thread-safe)");
+  // Compile before any thread starts: a model that does not compile fails
+  // here, and every worker finds its plan ready.
+  plan_ = plan::PlanCache::global().get_or_compile(extractor_->model());
   if (config_.workers > 0) {
     // Budget the intra-op pool so inter-op workers share the machine instead
     // of each assuming they own it. TSDX_NUM_THREADS (an explicit user
@@ -127,6 +121,28 @@ std::future<core::ExtractionResult> InferenceServer::submit(
     ++pending_;
   }
 
+  // A clip of the wrong geometry fails alone, here: it never reaches a
+  // batch, so it cannot fail the clips batched with it or fault a worker.
+  const tensor::Shape& clip_shape = plan_->clip_shape();
+  if (request.clip.frames != clip_shape[0] ||
+      sim::kNumChannels != clip_shape[1] ||
+      request.clip.height != clip_shape[2] ||
+      request.clip.width != clip_shape[3] ||
+      static_cast<std::int64_t>(request.clip.data.size()) !=
+          tensor::numel(clip_shape)) {
+    stats_.on_submit(queue_.size());
+    close_request(
+        request, obs::Recorder::Outcome::kFailed,
+        std::make_exception_ptr(std::invalid_argument(
+            "InferenceServer: clip [" + std::to_string(request.clip.frames) +
+            ", " + std::to_string(request.clip.height) + "x" +
+            std::to_string(request.clip.width) + ", " +
+            std::to_string(request.clip.data.size()) +
+            " values] does not match the model's clip geometry " +
+            tensor::to_string(clip_shape))));
+    return future;
+  }
+
   // A deadline already in the past fails fast: the request is accounted for
   // (submitted + deadline_expired) but never reaches the queue, so it
   // cannot displace live work.
@@ -168,12 +184,8 @@ std::future<core::ExtractionResult> InferenceServer::submit(
 
 InferenceServer::Replica InferenceServer::make_replica(
     std::size_t worker_index) const {
-  Replica replica{extractor_, worker_index, nullptr};
-  if (plan_cache_ != nullptr) {
-    replica.plan_executor =
-        std::make_shared<plan::PlanExecutor>(extractor_, plan_cache_);
-  }
-  return replica;
+  return Replica{worker_index,
+                 plan::PlanExecutor(extractor_, plan_, config_.max_batch)};
 }
 
 void InferenceServer::worker_loop(std::size_t worker_index) {
@@ -249,7 +261,7 @@ std::vector<InferenceServer::Request> InferenceServer::fill_batch(
   return batch;
 }
 
-void InferenceServer::process_batch(const Replica& replica,
+void InferenceServer::process_batch(Replica& replica,
                                     std::vector<Request> requests) {
   // Final deadline scrub: the batch window may have outlived a deadline.
   const auto now = Clock::now();
@@ -261,7 +273,7 @@ void InferenceServer::process_batch(const Replica& replica,
   if (live.empty()) return;
 
   // Adopt the oldest live request's trace for the whole dispatch: every span
-  // below (serve.batch -> extract.batch -> model.* -> gemm.mm, including
+  // below (serve.batch -> plan.execute -> gemm.*, including
   // tsdx::par workers) joins that request's trace. Per-request queue waits
   // are recorded with explicit endpoints under each request's own context.
   obs::trace::ContextGuard trace_guard(live.front().trace);
@@ -276,96 +288,60 @@ void InferenceServer::process_batch(const Replica& replica,
     return;
   }
 
-  // Partition into same-geometry groups (first-appearance order) so each
-  // model dispatch sees a rectangular [B, T, C, H, W] batch.
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    bool placed = false;
-    for (auto& group : groups) {
-      if (same_geometry(live[group.front()].clip, live[i].clip)) {
-        group.push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) groups.push_back({i});
+  stats_.on_batch(live.size());
+  // Flight-record the execution start: one batch id per plan run.
+  obs::Recorder& recorder = obs::Recorder::global();
+  const std::uint64_t batch_id = recorder.mint_batch_id();
+  const std::int64_t execute_ns = recorder.now_ns();
+  for (Request& request : live) {
+    obs::Recorder::Record& rec = request.rec;
+    rec.execute_ns = execute_ns;
+    rec.batch_id = batch_id;
+    rec.batch_size = static_cast<std::uint32_t>(live.size());
+    rec.worker = static_cast<std::int32_t>(replica.worker_index);
   }
-
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const auto& group = groups[g];
-    stats_.on_batch(group.size());
-    // Flight-record the execution start: one batch id per model dispatch
-    // (each geometry group is its own dispatch).
-    obs::Recorder& recorder = obs::Recorder::global();
-    const std::uint64_t batch_id = recorder.mint_batch_id();
-    const std::int64_t execute_ns = recorder.now_ns();
-    for (const std::size_t i : group) {
-      obs::Recorder::Record& rec = live[i].rec;
-      rec.execute_ns = execute_ns;
-      rec.batch_id = batch_id;
-      rec.batch_size = static_cast<std::uint32_t>(group.size());
-      rec.worker = static_cast<std::int32_t>(replica.worker_index);
+  std::size_t resolved = 0;
+  try {
+    std::vector<const sim::VideoClip*> clips;
+    clips.reserve(live.size());
+    for (const Request& request : live) clips.push_back(&request.clip);
+    data::Batch batch;
+    batch.video = stack_clips(clips);
+    fault::Injector::instance().on_extract_batch(config_.fault_domain);
+    std::vector<core::ExtractionResult> results =
+        replica.executor.extract_batch(batch);
+    TSDX_CHECK(results.size() == live.size(),
+               "InferenceServer: the plan returned ", results.size(),
+               " results for a batch of ", live.size());
+    // Accounting before resolution, here and in the catch below: a client
+    // that has observed its future's outcome must also observe the
+    // matching counters and circuit state (future.get() synchronizes with
+    // set_value/set_exception, so updates sequenced before those calls
+    // are visible after it).
+    circuit_.on_success();
+    for (; resolved < live.size(); ++resolved) {
+      Request& request = live[resolved];
+      notify_result(request, results[resolved], /*degraded=*/false);
+      close_request(request, obs::Recorder::Outcome::kCompleted);
+      request.promise.set_value(std::move(results[resolved]));
     }
-    std::size_t resolved = 0;
-    try {
-      std::vector<const sim::VideoClip*> clips;
-      clips.reserve(group.size());
-      for (std::size_t i : group) clips.push_back(&live[i].clip);
-      data::Batch batch;
-      batch.video = stack_clips(clips);
-      fault::Injector::instance().on_extract_batch(config_.fault_domain);
-      // Compiled execution when configured — bit-identical results (see
-      // plan.hpp), with per-batch dynamic fallback inside the executor.
-      std::vector<core::ExtractionResult> results =
-          replica.plan_executor != nullptr
-              ? replica.plan_executor->extract_batch(batch)
-              : replica.extractor->extract_batch(batch);
-      const obs::Recorder::Path path =
-          replica.plan_executor != nullptr &&
-                  replica.plan_executor->last_used_plan()
-              ? obs::Recorder::Path::kPlan
-              : obs::Recorder::Path::kDynamic;
-      for (const std::size_t i : group) live[i].rec.path = path;
-      TSDX_CHECK(results.size() == group.size(),
-                 "InferenceServer: extract_batch returned ", results.size(),
-                 " results for a batch of ", group.size());
-      // Accounting before resolution, here and in the catch below: a client
-      // that has observed its future's outcome must also observe the
-      // matching counters and circuit state (future.get() synchronizes with
-      // set_value/set_exception, so updates sequenced before those calls
-      // are visible after it).
-      circuit_.on_success();
-      for (; resolved < group.size(); ++resolved) {
-        Request& request = live[group[resolved]];
-        notify_result(request, results[resolved], /*degraded=*/false);
-        close_request(request, obs::Recorder::Outcome::kCompleted);
-        request.promise.set_value(std::move(results[resolved]));
-      }
-    } catch (...) {
-      // Worker fault: every future still in flight on this worker — the
-      // rest of this group and every not-yet-dispatched group of the same
-      // micro-batch — fails with the captured exception. The worker thread
-      // then dies and is restarted by the supervisor (WorkerFault signal).
-      const std::exception_ptr error = std::current_exception();
-      stats_.on_worker_fault();
-      circuit_.on_fault(Clock::now());
-      for (std::size_t i = resolved; i < group.size(); ++i) {
-        close_request(live[group[i]], obs::Recorder::Outcome::kFailed, error);
-      }
-      for (std::size_t g2 = g + 1; g2 < groups.size(); ++g2) {
-        for (const std::size_t i : groups[g2]) {
-          close_request(live[i], obs::Recorder::Outcome::kFailed, error);
-        }
-      }
-      throw WorkerFault{};
+  } catch (...) {
+    // Worker fault: every future still in flight on this worker fails with
+    // the captured exception. The worker thread then dies and is restarted
+    // by the supervisor (WorkerFault signal).
+    const std::exception_ptr error = std::current_exception();
+    stats_.on_worker_fault();
+    circuit_.on_fault(Clock::now());
+    for (std::size_t i = resolved; i < live.size(); ++i) {
+      close_request(live[i], obs::Recorder::Outcome::kFailed, error);
     }
+    throw WorkerFault{};
   }
 }
 
 void InferenceServer::process_degraded(std::vector<Request>& requests) {
   // The circuit only routes here when a fallback is configured.
   for (Request& request : requests) {
-    request.rec.path = obs::Recorder::Path::kFallback;
     try {
       core::ExtractionResult result = config_.fallback->extract(request.clip);
       // Accounting before resolution (same visibility contract as

@@ -8,13 +8,21 @@
 //        ▲                        (capacity +        each worker: Replica
 //        └── std::future ◀────── backpressure)       ├─ micro-batcher
 //                                                    ├─ deadline scrub
-//                                  supervisor ──┐    └─ extract_batch()
+//                                  supervisor ──┐    └─ PlanExecutor
 //                                  (restarts    │         │ faults
 //                                   dead ◀──────┴─────────┘
 //                                   workers)   CircuitBreaker ─▶ fallback
 //
-// * submit() converts nothing and trains nothing: it enqueues the clip and
-//   hands back a std::future<ExtractionResult>. Overflow behaviour is the
+// * The server runs compiled plans only (tsdx::plan). The constructor
+//   compiles the model through the process-wide plan::PlanCache — once per
+//   process for a given model, shared with every other server and Router
+//   replica serving the same weights — and a model that does not compile
+//   fails construction with plan::TraceError. The clip geometry is the
+//   one the model's ModelConfig fixes.
+// * submit() converts nothing and trains nothing: it checks the clip's
+//   geometry (a mismatch fails only that request's future with
+//   std::invalid_argument, before it reaches the queue), enqueues the clip
+//   and hands back a std::future<ExtractionResult>. Overflow behaviour is the
 //   queue's OverflowPolicy (block / reject / shed-oldest). An optional
 //   per-request deadline bounds how long the request may wait: the batcher
 //   scrubs already-expired requests (failing their futures with
@@ -25,9 +33,10 @@
 //   shared Rng behind extract()'s const facade (see layers.hpp::Dropout).
 // * The micro-batcher coalesces queued requests: a worker takes the first
 //   request, then keeps accepting more until `max_batch` are in hand or
-//   `batch_window` has elapsed — whichever comes first — and dispatches one
-//   extract_batch() call per clip geometry.
-// * Worker supervision: an exception thrown out of extract_batch fails only
+//   `batch_window` has elapsed — whichever comes first — and runs the batch
+//   through its PlanExecutor: one plan run per micro-batch, in an arena
+//   reserved for max_batch when the worker starts.
+// * Worker supervision: an exception thrown out of the plan run fails only
 //   the in-flight batch's futures (with the captured exception), increments
 //   ServerStats::worker_faults, and kills that worker thread; a supervisor
 //   thread restarts it so capacity recovers. K consecutive faults — or
@@ -99,14 +108,6 @@ struct ServerConfig {
   /// Trip/heal thresholds for the circuit breaker (see circuit.hpp).
   CircuitConfig circuit;
 
-  /// Execute batches through compiled inference plans (tsdx::plan): one
-  /// forward trace per clip geometry, fused ops, a per-worker arena instead
-  /// of per-op heap tensors. Output is bit-identical to the dynamic path
-  /// (plan.hpp's equivalence contract), so this flag is purely a perf
-  /// switch. Geometries (or models) the compiler cannot trace fall back to
-  /// the dynamic path per batch — flipping this on can never lose requests.
-  bool use_compiled_plan = false;
-
   /// Intra-op (tsdx::par) thread budget each worker's kernels may use. 0
   /// picks hardware_concurrency / workers (min 1) so inter-op workers don't
   /// oversubscribe the cores between them. Ignored when TSDX_NUM_THREADS is
@@ -147,10 +148,12 @@ class InferenceServer {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Starts the worker pool (plus a supervisor thread that restarts workers
-  /// killed by faults). The extractor's model must be frozen
+  /// Compiles the model's plan (or finds it in plan::PlanCache::global())
+  /// and starts the worker pool (plus a supervisor thread that restarts
+  /// workers killed by faults). The extractor's model must be frozen
   /// (`model().set_training(false)`) — a model in training mode would run
-  /// dropout, whose weight masks draw from the shared training Rng.
+  /// dropout, whose weight masks draw from the shared training Rng. Throws
+  /// plan::TraceError when the model does not compile.
   InferenceServer(std::shared_ptr<const core::ScenarioExtractor> extractor,
                   ServerConfig config);
 
@@ -161,11 +164,12 @@ class InferenceServer {
   InferenceServer& operator=(const InferenceServer&) = delete;
 
   /// Enqueue one clip for extraction. Thread-safe. The future resolves with
-  /// the result (primary or, in degraded mode, fallback), or with the
-  /// model's exception if inference failed, or with DeadlineExceededError
-  /// if `deadline` passed before dispatch, or QueueFullError if this
-  /// request was later shed, or ServerStoppedError if shutdown() discarded
-  /// it. Throws QueueFullError (kReject, queue full) or ServerStoppedError
+  /// the result (primary or, in degraded mode, fallback), or with
+  /// std::invalid_argument if the clip's geometry is not the model's, or
+  /// with the model's exception if inference failed, or with
+  /// DeadlineExceededError if `deadline` passed before dispatch, or
+  /// QueueFullError if this request was later shed, or ServerStoppedError
+  /// if shutdown() discarded it. Throws QueueFullError (kReject, queue full) or ServerStoppedError
   /// (after drain()/shutdown()).
   std::future<core::ExtractionResult> submit(
       sim::VideoClip clip,
@@ -211,38 +215,30 @@ class InferenceServer {
     std::chrono::steady_clock::time_point submit_time;
     std::optional<Clock::time_point> deadline;
     /// Trace context carried to the worker so the batch's spans
-    /// (serve.batch -> extract.batch -> model.*) join the submitting
+    /// (serve.batch -> plan.execute -> gemm.*) join the submitting
     /// request's trace. Minted at submit() — unless the submitting thread
     /// already runs under a trace (the Router's dispatch), which the server
     /// adopts so the routed hop and the replica hop share one trace ID.
     obs::trace::Context trace;
-    /// The request's flight record, opened at submit(): milestones, batch,
-    /// worker and path are plain field writes, and close_request() hands it
-    /// to obs::Recorder::finish — the one source of this request's
+    /// The request's flight record, opened at submit(): milestones, batch
+    /// and worker are plain field writes, and close_request() hands it to
+    /// obs::Recorder::finish — the one source of this request's
     /// accounting.
     obs::Recorder::Record rec;
   };
 
-  /// Internal signal: a batch threw out of extract_batch. The worker's loop
+  /// Internal signal: a batch's plan run threw. The worker's loop
   /// catches it, reports to the supervisor, and lets the thread die;
   /// process_inline() catches it and keeps consuming.
   struct WorkerFault {};
 
-  /// Per-worker handle onto the shared frozen weights. Owning a shared_ptr
-  /// (not a raw reference) pins the model for the worker's lifetime; the
-  /// struct is the seam where per-replica state (scratch buffers, pinned
-  /// devices) would live in a larger deployment.
+  /// Per-worker execution state: the worker's PlanExecutor (its own arena,
+  /// reserved for max_batch) over the server's shared plan and extractor.
   struct Replica {
-    std::shared_ptr<const core::ScenarioExtractor> extractor;
     std::size_t worker_index = 0;
-    /// Compiled execution (ServerConfig::use_compiled_plan). Worker-owned —
-    /// it wraps this worker's arena — while the plans themselves live in the
-    /// server-wide PlanCache so each geometry compiles once.
-    std::shared_ptr<plan::PlanExecutor> plan_executor;
+    plan::PlanExecutor executor;
   };
 
-  /// Build the per-worker replica (attaching a PlanExecutor when compiled
-  /// execution is on).
   Replica make_replica(std::size_t worker_index) const;
 
   void worker_loop(std::size_t worker_index);
@@ -256,10 +252,9 @@ class InferenceServer {
   /// return an empty batch if everything it saw had expired.
   std::vector<Request> fill_batch(Request first);
   /// Dispatch a micro-batch through the replica (or the fallback when the
-  /// circuit is open), grouped by clip geometry, and resolve every
-  /// request's promise. Throws WorkerFault after failing the batch's
-  /// futures if the primary model threw.
-  void process_batch(const Replica& replica, std::vector<Request> requests);
+  /// circuit is open) and resolve every request's promise. Throws
+  /// WorkerFault after failing the batch's futures if the plan run threw.
+  void process_batch(Replica& replica, std::vector<Request> requests);
   void process_degraded(std::vector<Request>& requests);
   /// If the request's deadline has passed, fail it with
   /// DeadlineExceededError and return true.
@@ -283,10 +278,9 @@ class InferenceServer {
 
   const std::shared_ptr<const core::ScenarioExtractor> extractor_;
   const ServerConfig config_;
-  /// Non-null iff config_.use_compiled_plan: geometry -> compiled plan,
-  /// shared by every worker (and by restarted workers, which keep the
-  /// already-compiled plans).
-  const std::shared_ptr<plan::PlanCache> plan_cache_;
+  /// The model's compiled plan, shared by every worker (and by restarted
+  /// workers) and by every other server of the same model.
+  std::shared_ptr<const plan::PolyPlan> plan_;
   const std::shared_ptr<obs::Registry> registry_;  // never null
   BoundedQueue<Request> queue_;
   StatsCollector stats_;

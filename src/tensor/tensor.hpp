@@ -44,6 +44,11 @@ struct Node {
   /// Reads this->grad, accumulates into parents' grad. Null for leaves and
   /// for results created under NoGradGuard.
   std::function<void(Node&)> backward;
+  /// Stamped by the plan tracer when the node is created under a trace
+  /// (trace_hook.hpp); 0 otherwise. Ids are unique per process, so a node
+  /// keeps its identity in the tracer's node -> value map even when a dead
+  /// node's address is reused later in the same forward.
+  std::uint64_t trace_id = 0;
 
   std::int64_t numel() const { return static_cast<std::int64_t>(data.size()); }
 

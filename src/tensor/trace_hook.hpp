@@ -9,9 +9,9 @@
 // was produced by an op with no trace hook, and the tracer refuses
 // (plan::TraceError) as soon as such a node is consumed by a hooked op or
 // turns out to be a model output — either way, the forward ran an op the
-// compiler does not understand and the caller falls back to the dynamic
-// path. (Unclaimed nodes nobody reads are dead values — e.g.
-// default-constructed Tensor placeholders — and are tolerated.)
+// compiler does not understand, and the model does not compile. (Unclaimed
+// nodes nobody reads are dead values — e.g. default-constructed Tensor
+// placeholders — and are tolerated.)
 //
 // Cost when no sink is installed (always, outside plan compilation): one
 // thread-local pointer load per op — the same posture as obs::trace span
@@ -44,10 +44,10 @@ enum class OpKind : std::uint8_t {
   kEmbeddingLookup,
 };
 
-/// One traced op: kind + data-flow (by node identity) + attributes. Node
-/// pointers are shared, so a record keeps its operands' storage alive for
-/// the duration of the trace (the plan compiler reads constants out of
-/// them).
+/// One traced op: kind + data-flow (by node identity) + attributes. The
+/// record shares its operands' nodes only while Sink::on_op runs; a sink
+/// that needs a value later must copy it (the plan tracer copies what it
+/// folds and nothing else).
 struct OpRecord {
   OpKind kind;
   const char* name = nullptr;  ///< static op name, for diagnostics
@@ -65,7 +65,7 @@ class Sink {
   /// An op completed under the trace.
   virtual void on_op(const OpRecord& record) = 0;
   /// A node was created under the trace (leaf or op result). Called before
-  /// the matching on_op, if any.
+  /// the matching on_op, if any; the sink may stamp Node::trace_id.
   virtual void on_node(const NodePtr& node) = 0;
 };
 

@@ -284,12 +284,12 @@ TEST(LockOrderTest, PlanCacheCompileUnderCacheLockObeysTheHierarchy) {
        micro_config().image_size, micro_config().image_size});
   EXPECT_NE(plan, nullptr);
 
-  // And the full serving stack with compiled plans on.
+  // And the full serving stack, which compiles through the process-wide
+  // cache at construction and then runs plans only.
   serve::ServerConfig cfg;
   cfg.workers = 2;
   cfg.max_batch = 2;
   cfg.queue_capacity = 4;
-  cfg.use_compiled_plan = true;
   cfg.metrics = std::make_shared<obs::Registry>();
   serve::InferenceServer server(extractor, cfg);
   const auto clips = make_clips(4);

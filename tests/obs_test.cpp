@@ -364,7 +364,6 @@ TEST(ObsRecorderTest, LifecycleDerivesSegmentsThatSumToEndToEnd) {
   rec.batch_id = recorder.mint_batch_id();
   rec.batch_size = 4;
   rec.worker = 1;
-  rec.path = obs::Recorder::Path::kPlan;
   const std::optional<double> e2e_ms =
       recorder.finish(rec, obs::Recorder::Outcome::kCompleted, accounts);
 
@@ -373,7 +372,6 @@ TEST(ObsRecorderTest, LifecycleDerivesSegmentsThatSumToEndToEnd) {
   const obs::Recorder::Record& r = records[0];
   EXPECT_EQ(r.trace_id, 77u);
   EXPECT_EQ(r.outcome, obs::Recorder::Outcome::kCompleted);
-  EXPECT_EQ(r.path, obs::Recorder::Path::kPlan);
   EXPECT_EQ(r.batch_size, 4u);
   EXPECT_EQ(r.worker, 1);
   EXPECT_GE(r.batch_id, 1u);
@@ -407,7 +405,7 @@ TEST(ObsRecorderTest, LifecycleDerivesSegmentsThatSumToEndToEnd) {
   const std::string json = recorder.to_json();
   EXPECT_NE(json.find("\"trace_id\": 77"), std::string::npos) << json;
   EXPECT_NE(json.find("\"outcome\": \"completed\""), std::string::npos);
-  EXPECT_NE(json.find("\"path\": \"plan\""), std::string::npos);
+  EXPECT_NE(json.find("\"batch_size\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"server\""), std::string::npos);
 }
 
@@ -777,8 +775,8 @@ TEST(ObsTraceTest, FlushTraceWritesTheExportToDisk) {
 // ---- end to end through the server ----------------------------------------------
 
 // The tentpole guarantee: one submitted clip produces one trace ID whose
-// spans cover the whole path — queue wait, batch formation, extractor,
-// model layers, GEMM kernel — even though those run on different threads.
+// spans cover the whole path — queue wait, batch formation, the compiled
+// plan's run, GEMM kernel — even though those run on different threads.
 TEST(ObsTraceTest, OneRequestIsTracedEndToEndUnderASingleId) {
   TraceReset reset(trace::Mode::kFull);
   auto registry = std::make_shared<obs::Registry>();
@@ -795,8 +793,8 @@ TEST(ObsTraceTest, OneRequestIsTracedEndToEndUnderASingleId) {
 
   const auto events = trace::snapshot();
   const std::set<std::string> want{
-      "serve.submit",  "serve.queue_wait", "serve.batch",   "serve.request",
-      "extract.batch", "model.embed",      "model.attention", "gemm.mm"};
+      "serve.submit", "serve.queue_wait", "serve.batch",
+      "serve.request", "plan.execute",     "gemm.mm"};
   std::set<std::uint64_t> ids;
   for (const trace::SpanEvent& e : events) ids.insert(e.trace_id);
   std::size_t full_traces = 0;

@@ -11,8 +11,14 @@
 // * Thread-count invariance: the same plan produces identical bytes at 1,
 //   2, 4 and 8 intra-op threads (the kernels split rows at the same grains
 //   as the dynamic path, whose determinism contract is thread-invariant),
-//   and at every batch size 1..8 compiled matches dynamic by memcmp with
-//   both paths at 1 and at 4 threads.
+//   and one cache entry instantiated at every batch size 1..8 matches
+//   dynamic by memcmp with both paths at 1 and at 4 threads.
+// * Batch polymorphism: a compile is exactly two traces (B=1, B=2); an
+//   attribute that does not scale with B is a TraceError; the tracer keeps
+//   no intermediate's data.
+// * The cache key: a model rebuilt from the same seed hits (also across
+//   Routers and their replicas); one flipped weight bit misses, and the new
+//   plan matches its own dynamic path.
 // * Arena discipline: repeated executions reuse one allocation
 //   (Arena::growths() stays at 1) and produce identical results — the
 //   liveness planner's in-place aliasing is exercised on every run, and the
@@ -21,13 +27,12 @@
 // * Decoding: the executor decodes the plan's logits with the dynamic
 //   path's decoder, so constrained decoding runs on the plan too and
 //   matches the dynamic constrained extractor bit for bit.
-// * Fallback contract: an unfrozen model takes the dynamic path; a trace
-//   failure is negatively cached (one plan.trace_errors bump, not one per
-//   batch).
+// * No fallback: a model that does not compile fails the cache lookup
+//   (every time — failures are not cached) and server construction.
 // * Accounting: a plan run bumps gemm.calls / gemm.flops exactly as its
 //   graph's matmul ops describe, whichever GEMM build the host runs.
-// * End-to-end: an InferenceServer with use_compiled_plan on answers every
-//   request identically to the dynamic server.
+// * End-to-end: an InferenceServer (which serves plans only) answers every
+//   request identically to the dynamic extractor.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -47,6 +52,7 @@
 #include "plan/plan.hpp"
 #include "plan/trace.hpp"
 #include "sdl/description.hpp"
+#include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "sim/clipgen.hpp"
 #include "tensor/kernels/parallel_for.hpp"
@@ -207,6 +213,63 @@ void expect_same_results(const std::vector<core::ExtractionResult>& a,
   }
 }
 
+/// Test backbones: [B, T, C, H, W] -> flatten -> <op> -> x W, over the
+/// small geometry. Neither is a video transformer.
+class FlatBackbone : public core::Backbone {
+ public:
+  static core::ModelConfig config() {
+    return small_config(core::AttentionKind::kJoint);
+  }
+  FlatBackbone() {
+    const core::ModelConfig mc = config();
+    tt::Rng rng(3);
+    weight_ = register_parameter(
+        "weight",
+        tt::Tensor::randn({mc.frames * mc.channels * mc.image_size *
+                               mc.image_size,
+                           kDim},
+                          rng, 0.05f));
+  }
+  std::int64_t feature_dim() const override { return kDim; }
+
+ protected:
+  static constexpr std::int64_t kDim = 8;
+  tt::Tensor flat(const tt::Tensor& video) const {
+    return tt::reshape(video, {video.dim(0), -1});
+  }
+  tt::Tensor weight_;
+};
+
+/// relu has no trace hook: untraceable.
+class ReluBackbone final : public FlatBackbone {
+ public:
+  tt::Tensor forward(const tt::Tensor& video) const override {
+    return tt::matmul(tt::relu(flat(video)), weight_);
+  }
+  std::string name() const override { return "relu_test"; }
+};
+
+/// Traceable, but scales its features by 1/B: an attribute that differs
+/// between the B=1 and B=2 traces without scaling with B.
+class BatchMeanBackbone final : public FlatBackbone {
+ public:
+  tt::Tensor forward(const tt::Tensor& video) const override {
+    return tt::mul_scalar(tt::matmul(flat(video), weight_),
+                          1.0f / static_cast<float>(video.dim(0)));
+  }
+  std::string name() const override { return "batch_mean_test"; }
+};
+
+std::shared_ptr<core::ScenarioExtractor> extractor_over(
+    std::unique_ptr<core::Backbone> backbone) {
+  tt::Rng rng(9);
+  auto model =
+      std::make_shared<core::ScenarioModel>(std::move(backbone), rng);
+  auto extractor = std::make_shared<core::ScenarioExtractor>(model);
+  extractor->freeze();
+  return extractor;
+}
+
 }  // namespace
 
 TEST(PlanTest, EveryAttentionKindCompilesBitIdentical) {
@@ -318,19 +381,26 @@ TEST(PlanTest, EveryBatchSizeBitIdenticalAtOneAndFourThreads) {
   mc.image_size = 32;
   mc.dim = 32;
   const auto extractor = frozen_extractor(mc);
+  // One cache entry, compiled once, serves every batch size.
+  plan::PlanCache cache;
+  obs::Counter& compiled = obs::Registry::global().counter("plan.compiled");
+  const std::uint64_t compiled_before = compiled.value();
+  const auto poly = cache.get_or_compile(extractor.model());
   for (std::int64_t batch = 1; batch <= 8; ++batch) {
     const tt::Shape shape{batch, mc.frames, mc.channels, mc.image_size,
                           mc.image_size};
     const std::vector<float> values = probe_values(shape);
-    const auto compiled =
-        plan::Plan::compile(extractor.model(), shape, plan::CompileOptions{});
+    const auto instantiated = cache.get_or_compile(extractor.model(), shape);
+    const auto at = poly->at(batch);
+    ASSERT_EQ(instantiated->input_shape(), shape);
+    EXPECT_EQ(instantiated->arena_bytes(), at->arena_bytes());
     for (const std::size_t threads : {1u, 4u}) {
       par::set_threads(threads);
       const auto dynamic = dynamic_logits(extractor.model(), shape, values);
-      std::vector<float> arena(compiled->arena_bytes() / sizeof(float));
-      compiled->run(values.data(), arena.data());
+      std::vector<float> arena(at->arena_bytes() / sizeof(float));
+      at->run(values.data(), arena.data());
       for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
-        const float* got = compiled->logits_ptr(s, arena.data());
+        const float* got = at->logits_ptr(s, arena.data());
         const std::vector<float>& want = dynamic[s].node()->data;
         EXPECT_EQ(0,
                   std::memcmp(got, want.data(), want.size() * sizeof(float)))
@@ -340,6 +410,8 @@ TEST(PlanTest, EveryBatchSizeBitIdenticalAtOneAndFourThreads) {
     }
   }
   par::set_threads(1);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(compiled.value(), compiled_before + 1);
 }
 
 TEST(PlanTest, ExecutorReusesArenaAndMatchesDynamicPath) {
@@ -381,14 +453,11 @@ TEST(PlanTest, ConstrainedDecodingRunsOnPlan) {
   obs::Registry& reg = obs::Registry::global();
   const std::uint64_t executions_before =
       reg.counter("plan.executions").value();
-  const std::uint64_t fallbacks_before = reg.counter("plan.fallbacks").value();
 
   const data::Batch batch = probe_batch(mc);
   const auto via_executor = executor.extract_batch(batch);
   const auto via_dynamic = extractor->extract_batch(batch);
-  EXPECT_TRUE(executor.last_used_plan());
   EXPECT_EQ(reg.counter("plan.executions").value(), executions_before + 1);
-  EXPECT_EQ(reg.counter("plan.fallbacks").value(), fallbacks_before);
   EXPECT_EQ(executor.arena().growths(), 1u);
   expect_same_results(via_executor, via_dynamic, "constrained");
   for (const core::ExtractionResult& r : via_executor) {
@@ -424,23 +493,33 @@ TEST(PlanTest, GemmAccountingMatchesGraph) {
   EXPECT_EQ(reg.counter("gemm.flops").value() - flops_before, want_flops);
 }
 
-TEST(PlanTest, CacheRemembersTraceFailure) {
-  // A model left in training mode is untraceable (TraceError at compile).
-  const core::ModelConfig mc = small_config(core::AttentionKind::kJoint);
-  core::ScenarioExtractor extractor(mc, /*seed=*/7);
-  ASSERT_TRUE(extractor.model().training());
-
+TEST(PlanTest, ModelThatDoesNotCompileFailsServerConstruction) {
   obs::Counter& errors =
       obs::Registry::global().counter("plan.trace_errors");
-  const std::uint64_t errors_before = errors.value();
 
+  // A model left in training mode is untraceable. There is no fallback to
+  // remember it for: every lookup fails, and none leaves an entry behind.
+  const core::ModelConfig mc = small_config(core::AttentionKind::kJoint);
+  core::ScenarioExtractor training(mc, /*seed=*/7);
+  ASSERT_TRUE(training.model().training());
   plan::PlanCache cache;
-  const tt::Shape shape = input_shape(mc);
-  EXPECT_EQ(cache.get_or_compile(extractor.model(), shape), nullptr);
-  EXPECT_EQ(cache.get_or_compile(extractor.model(), shape), nullptr);
-  // Negative caching: the second lookup hits the remembered failure, it
-  // does not re-trace.
-  EXPECT_EQ(errors.value(), errors_before + 1);
+  const std::uint64_t errors_before = errors.value();
+  EXPECT_THROW(cache.get_or_compile(training.model()), plan::TraceError);
+  EXPECT_THROW(cache.get_or_compile(training.model()), plan::TraceError);
+  EXPECT_EQ(errors.value(), errors_before + 2);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // A frozen model whose forward runs an op the tracer has no hook for
+  // (relu) cannot be served: the server fails while it is being built.
+  const auto untraceable = extractor_over(std::make_unique<ReluBackbone>());
+  EXPECT_THROW(plan::Plan::compile(untraceable->model(),
+                                   input_shape(ReluBackbone::config()),
+                                   plan::CompileOptions{}),
+               plan::TraceError);
+  serve::ServerConfig sc;
+  sc.workers = 1;
+  sc.metrics = std::make_shared<obs::Registry>();
+  EXPECT_THROW(serve::InferenceServer(untraceable, sc), plan::TraceError);
 }
 
 TEST(PlanTest, DebugDumpListsOpsAndOffsets) {
@@ -471,26 +550,179 @@ TEST(PlanTest, ServerAnswersIdenticallyWithCompiledPlans) {
   std::vector<sim::VideoClip> clips;
   for (int i = 0; i < 6; ++i) clips.push_back(gen.generate().video);
 
-  // workers = 0: deterministic inline processing on drain(), no thread
-  // scheduling noise in the comparison.
-  const auto run_server = [&](bool compiled) {
-    serve::ServerConfig sc;
-    sc.workers = 0;
-    sc.max_batch = 4;
-    sc.use_compiled_plan = compiled;
-    sc.metrics = std::make_shared<obs::Registry>();
-    serve::InferenceServer server(extractor, sc);
-    std::vector<std::future<core::ExtractionResult>> futures;
-    for (const sim::VideoClip& clip : clips) {
-      futures.push_back(server.submit(clip));
-    }
-    server.drain();
-    std::vector<core::ExtractionResult> results;
-    for (auto& f : futures) results.push_back(f.get());
-    return results;
-  };
+  // workers = 0: deterministic inline processing on drain(), batches of 4
+  // and 2, no thread scheduling noise in the comparison.
+  serve::ServerConfig sc;
+  sc.workers = 0;
+  sc.max_batch = 4;
+  sc.metrics = std::make_shared<obs::Registry>();
+  serve::InferenceServer server(extractor, sc);
+  std::vector<std::future<core::ExtractionResult>> futures;
+  for (const sim::VideoClip& clip : clips) {
+    futures.push_back(server.submit(clip));
+  }
+  server.drain();
+  std::vector<core::ExtractionResult> served;
+  std::vector<core::ExtractionResult> dynamic;
+  for (std::size_t i = 0; i < clips.size(); ++i) {
+    served.push_back(futures[i].get());
+    dynamic.push_back(extractor->extract(clips[i]));
+  }
+  expect_same_results(served, dynamic, "server");
+}
 
-  const auto dynamic = run_server(/*compiled=*/false);
-  const auto compiled = run_server(/*compiled=*/true);
-  expect_same_results(compiled, dynamic, "server");
+TEST(PlanTest, CompileIsExactlyTwoTracesAndRebuiltModelsHit) {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& compiled = reg.counter("plan.compiled");
+  obs::Counter& traces = reg.counter("plan.traces");
+  const core::ModelConfig mc = small_config(core::AttentionKind::kJoint);
+  plan::PlanCache cache;
+
+  const std::uint64_t compiled_before = compiled.value();
+  const std::uint64_t traces_before = traces.value();
+  const auto first = frozen_extractor(mc, /*seed=*/31);
+  const auto poly = cache.get_or_compile(first.model());
+  EXPECT_EQ(compiled.value(), compiled_before + 1);
+  EXPECT_EQ(traces.value(), traces_before + 2);
+
+  // Same model again, a model rebuilt from the same seed, and every batch
+  // size: all hits, no further trace.
+  const auto rebuilt = frozen_extractor(mc, /*seed=*/31);
+  EXPECT_EQ(cache.get_or_compile(first.model()), poly);
+  EXPECT_EQ(cache.get_or_compile(rebuilt.model()), poly);
+  for (std::int64_t b = 1; b <= 8; ++b) {
+    cache.get_or_compile(rebuilt.model(), {b, mc.frames, mc.channels,
+                                           mc.image_size, mc.image_size});
+  }
+  EXPECT_EQ(compiled.value(), compiled_before + 1);
+  EXPECT_EQ(traces.value(), traces_before + 2);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PlanTest, OneFlippedWeightBitMissesAndCompilesItsOwnPlan) {
+  const core::ModelConfig mc = small_config(core::AttentionKind::kJoint);
+  plan::PlanCache cache;
+  const auto original = frozen_extractor(mc, /*seed=*/41);
+  const auto poly = cache.get_or_compile(original.model());
+
+  auto flipped = frozen_extractor(mc, /*seed=*/41);
+  // Flip the lowest mantissa bit of one weight the forward reads (the
+  // last slot head's bias is the last parameter).
+  std::vector<float>& w = flipped.model().parameters().back().node()->data;
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &w[0], sizeof(bits));
+  bits ^= 1u;
+  std::memcpy(&w[0], &bits, sizeof(bits));
+
+  obs::Counter& compiled = obs::Registry::global().counter("plan.compiled");
+  const std::uint64_t compiled_before = compiled.value();
+  const auto other = cache.get_or_compile(flipped.model());
+  EXPECT_NE(other, poly);
+  EXPECT_EQ(compiled.value(), compiled_before + 1);
+  EXPECT_EQ(cache.size(), 2u);
+
+  // Each plan computes its own model, bit for bit.
+  const tt::Shape shape = input_shape(mc);
+  const std::vector<float> values = probe_values(shape);
+  const auto expect_matches = [&](const core::ScenarioExtractor& extractor,
+                                  const plan::PolyPlan& compiled_plan,
+                                  const char* what) {
+    const auto dynamic = dynamic_logits(extractor.model(), shape, values);
+    const auto at = compiled_plan.at(kBatch);
+    std::vector<float> arena(at->arena_bytes() / sizeof(float));
+    at->run(values.data(), arena.data());
+    for (std::size_t s = 0; s < sdl::kNumSlots; ++s) {
+      const std::vector<float>& want = dynamic[s].node()->data;
+      EXPECT_EQ(0, std::memcmp(at->logits_ptr(s, arena.data()), want.data(),
+                               want.size() * sizeof(float)))
+          << what << ": slot " << s;
+    }
+  };
+  expect_matches(original, *poly, "original");
+  expect_matches(flipped, *other, "flipped");
+}
+
+TEST(PlanTest, AttributeThatDoesNotScaleWithBatchIsATraceError) {
+  const auto extractor = extractor_over(std::make_unique<BatchMeanBackbone>());
+  try {
+    plan::Plan::compile(extractor->model(),
+                        input_shape(BatchMeanBackbone::config()),
+                        plan::CompileOptions{});
+    ADD_FAILURE() << "a 1/B scale compiled into a batch-polymorphic plan";
+  } catch (const plan::TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("scalar"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PlanTest, TracerRetainsOnlyFoldedConstantsAndWeights) {
+  for (const auto positional :
+       {core::PositionalKind::kLearned, core::PositionalKind::kSinusoidal}) {
+    core::ModelConfig mc = small_config(core::AttentionKind::kDividedST);
+    mc.positional = positional;
+    const auto extractor = frozen_extractor(mc);
+    plan::TraceStats stats;
+    const plan::Graph graph =
+        plan::trace_model(extractor.model(), input_shape(mc), &stats);
+    std::size_t constants = 0, externals = 0, intermediates = 0;
+    for (const plan::Value& v : graph.values) {
+      const std::size_t bytes = static_cast<std::size_t>(v.numel) * 4;
+      switch (v.kind) {
+        case plan::ValueKind::kConstant: constants += bytes; break;
+        case plan::ValueKind::kExternal: externals += bytes; break;
+        case plan::ValueKind::kArena:
+          if (v.alias_of == plan::kNoValue) intermediates += bytes;
+          // Of an intermediate the graph keeps the size, never the node.
+          EXPECT_EQ(v.traced, nullptr);
+          EXPECT_EQ(v.constant, nullptr);
+          break;
+        case plan::ValueKind::kInput: break;
+      }
+    }
+    // Learned positions fold (embedding lookups and their sum); the
+    // sinusoidal table is read as an external.
+    if (positional == core::PositionalKind::kLearned) {
+      EXPECT_GT(constants, 0u);
+    }
+    EXPECT_GT(stats.retained_bytes, 0u);
+    EXPECT_LE(stats.retained_bytes, constants + externals);
+    // Pinning the forward's intermediates (as a tracer that keeps every
+    // node alive would) costs more than everything it may keep.
+    EXPECT_GT(intermediates, constants + externals);
+  }
+}
+
+TEST(PlanTest, RoutersOverRebuiltModelsShareOneCompile) {
+  core::ModelConfig mc = small_config(core::AttentionKind::kDividedST);
+  mc.dim = 24;  // a config no other test serves: the first Router compiles
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& compiled = reg.counter("plan.compiled");
+  obs::Counter& traces = reg.counter("plan.traces");
+  const std::uint64_t compiled_before = compiled.value();
+  const std::uint64_t traces_before = traces.value();
+
+  sim::RenderConfig render;
+  render.height = render.width = mc.image_size;
+  render.frames = mc.frames;
+  sim::ClipGenerator gen(render, /*seed=*/5);
+  const sim::VideoClip clip = gen.generate().video;
+
+  const auto serve_through_router = [&] {
+    auto extractor = std::make_shared<core::ScenarioExtractor>(mc, 51);
+    extractor->freeze();
+    serve::RouterConfig rc;
+    rc.replicas = 2;
+    rc.server.workers = 1;
+    rc.metrics = std::make_shared<obs::Registry>();
+    serve::Router router(extractor, rc);
+    expect_same_results({router.submit(clip).get()},
+                        {extractor->extract(clip)}, "router");
+    router.drain();
+  };
+  serve_through_router();
+  EXPECT_EQ(compiled.value(), compiled_before + 1);
+  EXPECT_EQ(traces.value(), traces_before + 2);
+  serve_through_router();
+  EXPECT_EQ(compiled.value(), compiled_before + 1);
+  EXPECT_EQ(traces.value(), traces_before + 2);
 }

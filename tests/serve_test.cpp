@@ -19,6 +19,7 @@
 #include "core/extractor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "serve/fallback.hpp"
 #include "serve/fault/inject.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
@@ -30,6 +31,7 @@ namespace core = tsdx::core;
 namespace obs = tsdx::obs;
 namespace serve = tsdx::serve;
 namespace fault = tsdx::serve::fault;
+namespace sdl = tsdx::sdl;
 namespace sim = tsdx::sim;
 
 namespace {
@@ -355,6 +357,48 @@ TEST(ServeLifecycleTest, ModelErrorPropagatesThroughFuture) {
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 1u);
+}
+
+// A malformed clip is refused at submit(): it never shares a batch with the
+// clips behind it, so it fails alone — no innocent request fails with it, no
+// worker dies, and the breaker (set to trip on a single fault) stays shut.
+TEST(ServeLifecycleTest, MalformedClipFailsAloneWithoutFaultingTheWorker) {
+  auto extractor = make_frozen_extractor();
+  serve::ServerConfig cfg =
+      config_with(/*workers=*/1, /*max_batch=*/4, /*capacity=*/8,
+                  serve::OverflowPolicy::kBlock);
+  // A window long enough that the bad clip and the good ones behind it
+  // would form one batch if the bad clip reached the queue.
+  cfg.batch_window = std::chrono::milliseconds(50);
+  cfg.circuit.fault_threshold = 1;
+  sdl::SlotLabels labels{};
+  std::array<float, sdl::kNumSlots> confidence{};
+  confidence.fill(1.0f);
+  cfg.fallback = std::make_shared<serve::MajorityFallback>(labels, confidence);
+  cfg.metrics = std::make_shared<obs::Registry>();
+  serve::InferenceServer server(extractor, cfg);
+
+  sim::VideoClip bad;
+  bad.frames = 1;  // model expects 2 frames
+  bad.height = bad.width = 8;
+  bad.data.assign(static_cast<std::size_t>(1 * sim::kNumChannels * 8 * 8),
+                  0.5f);
+  const auto clips = make_clips(3);
+  auto bad_future = server.submit(bad);
+  std::vector<std::future<core::ExtractionResult>> good;
+  for (const auto& clip : clips) good.push_back(server.submit(clip));
+  server.drain();
+
+  EXPECT_THROW(bad_future.get(), std::invalid_argument);
+  for (std::size_t i = 0; i < clips.size(); ++i) {
+    expect_identical(good[i].get(), extractor->extract(clips[i]));
+  }
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.worker_faults, 0u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, clips.size());
+  EXPECT_EQ(stats.degraded_completions, 0u);
+  EXPECT_EQ(server.circuit_state(), serve::CircuitState::kClosed);
 }
 
 // ---- stress: no lost or duplicated requests -------------------------------------

@@ -146,7 +146,7 @@ def report_recorder(dump, top: int = 5) -> None:
     print(f"\nslowest {min(top, len(served))} served request(s):")
     print(
         f"  {'trace':>8} {'e2e ms':>9} {'adm':>7} {'queue':>7} {'bwait':>7} "
-        f"{'exec':>7}  {'path':<8} {'outcome':<10} batch"
+        f"{'exec':>7}  {'outcome':<10} batch"
     )
     for r in served[:top]:
         # Mirror recorder.cpp's clamping: hooks run on different threads, so
@@ -162,7 +162,7 @@ def report_recorder(dump, top: int = 5) -> None:
             f"{(enqueue - submit) * ms:>7.3f} "
             f"{(dispatch - enqueue) * ms:>7.3f} "
             f"{(execute - dispatch) * ms:>7.3f} {(done - execute) * ms:>7.3f}"
-            f"  {r['path']:<8} {r['outcome']:<10} "
+            f"  {r['outcome']:<10} "
             f"{r['batch_size']}@w{r['worker']}"
         )
 

@@ -4,49 +4,32 @@
 CI runs `serve_demo --smoke --metrics-dump` and feeds the two JSON files it
 writes to this script:
 
-  trace_check.py [--plan] tsdx_trace.json tsdx_metrics.json
+  trace_check.py tsdx_trace.json tsdx_metrics.json
 
-Checks (exit 0 = pass, 1 = fail, 2 = usage/IO error):
+The server runs compiled inference plans only, so the request path bottoms
+out at one plan.execute span per batch. Checks (exit 0 = pass, 1 = fail,
+2 = usage/IO error):
 
   trace shape       tsdx_trace.json is Chrome trace-event JSON: a non-empty
                     "traceEvents" list of complete ("ph": "X") events, each
                     with name / tid / ts / dur and an args.trace_id.
-  end-to-end trace  At least one trace ID covers the full request path:
-                    serve.request + serve.queue_wait + serve.batch +
-                    extract.batch + model.embed + model.attention + gemm.mm
-                    all sharing that ID — i.e. one submitted clip was traced
-                    from the queue through batch formation into the model's
-                    layers and down to the GEMM kernel.
-  span nesting      For such a trace, on the dispatching worker's thread:
-                    extract.batch sits inside serve.batch, and model.* /
-                    gemm.mm sit inside extract.batch (span intervals nest,
-                    which is what makes the Perfetto rendering meaningful).
+  end-to-end trace  At least one trace ID covers serve.request +
+                    serve.queue_wait + serve.batch + plan.execute — one
+                    submitted clip was traced from the queue through batch
+                    formation into the plan that answered it. (model.* spans
+                    are not expected: a plan runs as the single plan.execute
+                    span, with only its GEMMs' gemm.* spans inside.)
+  plan nesting      For such a trace, plan.execute sits inside serve.batch
+                    on the worker's thread (span intervals nest, which is
+                    what makes the Perfetto rendering meaningful), and a
+                    plan.compile span exists somewhere in the buffer (the
+                    server compiles at construction).
   metrics shape     tsdx_metrics.json has counters/gauges/histograms maps;
-                    serve.submitted and serve.completed counted this run's
-                    requests, gemm.calls > 0, and the obs.e2e_ms histogram
-                    holds one sample per served request (serve.completed +
-                    serve.failed: both derive from the same closed flight
-                    records).
-
-With --plan, the run under test served through compiled inference plans
-(`serve_demo --smoke --metrics-dump --compiled`) and the checks change to
-the plan-level span structure instead:
-
-  plan trace        At least one trace ID covers serve.request +
-                    serve.queue_wait + serve.batch + plan.execute — a
-                    request batch executed through a compiled plan, not the
-                    dynamic interpreter. (model.* spans are NOT required:
-                    a plan runs as the single plan.execute span, with only
-                    its GEMMs' gemm.* spans inside.)
-  plan nesting      plan.execute sits inside serve.batch on the worker's
-                    thread, and a plan.compile span exists somewhere in the
-                    buffer (compilation happens once per clip geometry, on
-                    the first batch that sees it).
-  plan metrics      counters plan.compiled and plan.executions are positive
-                    — plans were built and actually used, not silently
-                    fallen back from (the serve.* and gemm.calls checks
-                    still apply: plan GEMMs count like dynamic ones, on
-                    either GEMM build).
+                    serve.submitted, serve.completed, gemm.calls,
+                    plan.compiled and plan.executions are positive, and the
+                    obs.e2e_ms histogram holds one sample per served request
+                    (serve.completed + serve.failed: both derive from the
+                    same closed flight records).
 
 Optional artifact checks (combinable with or without the positionals; at
 least one check must be requested):
@@ -59,7 +42,7 @@ least one check must be requested):
   --recorder FILE   Flight-recorder ring dump (serve_demo --metrics-dump
                     writes tsdx_recorder.json): {"records": [...]}, each
                     record carrying the full schema (id / trace_id / kind /
-                    outcome / path / batching / timeline fields), with at
+                    outcome / batching / timeline fields), with at
                     least one terminal served record. With the metrics JSON
                     also given (the second positional) and a ring that holds
                     every record of the run (ids 1..N, nothing lapped), each
@@ -83,28 +66,11 @@ REQUIRED_SPANS = {
     "serve.request",
     "serve.queue_wait",
     "serve.batch",
-    "extract.batch",
-    "model.embed",
-    "model.attention",
-    "gemm.mm",
+    "plan.execute",
 }
 
 # Parent -> children that must nest inside it (same thread, same trace).
 NESTING = {
-    "serve.batch": ["extract.batch"],
-    "extract.batch": ["model.embed", "model.attention", "gemm.mm"],
-}
-
-# --plan mode: the compiled-path equivalents. One span covers the whole
-# fused execution, so the request path bottoms out at plan.execute.
-PLAN_REQUIRED_SPANS = {
-    "serve.request",
-    "serve.queue_wait",
-    "serve.batch",
-    "plan.execute",
-}
-
-PLAN_NESTING = {
     "serve.batch": ["plan.execute"],
 }
 
@@ -123,9 +89,7 @@ def load_json(path: str):
         sys.exit(2)
 
 
-def check_trace(trace, plan_mode: bool) -> None:
-    required = PLAN_REQUIRED_SPANS if plan_mode else REQUIRED_SPANS
-    nesting = PLAN_NESTING if plan_mode else NESTING
+def check_trace(trace) -> None:
     events = trace.get("traceEvents")
     if not isinstance(events, list) or not events:
         fail("traceEvents is missing or empty")
@@ -146,15 +110,15 @@ def check_trace(trace, plan_mode: bool) -> None:
     full = [
         tid
         for tid, spans in by_trace.items()
-        if tid > 0 and required <= {s["name"] for s in spans}
+        if tid > 0 and REQUIRED_SPANS <= {s["name"] for s in spans}
     ]
     if not full:
         seen = {s["name"] for spans in by_trace.values() for s in spans}
         fail(
             "no trace ID carries the full request path "
-            f"{sorted(required)}; span names seen: {sorted(seen)}"
+            f"{sorted(REQUIRED_SPANS)}; span names seen: {sorted(seen)}"
         )
-    if plan_mode and not any(
+    if not any(
         s["name"] == "plan.compile" for spans in by_trace.values() for s in spans
     ):
         fail("no plan.compile span — nothing was compiled this run")
@@ -162,7 +126,7 @@ def check_trace(trace, plan_mode: bool) -> None:
     # Nesting holds for at least one fully-traced request: RAII spans on the
     # worker thread must contain their children's intervals exactly.
     def nests(spans: list[dict]) -> bool:
-        for parent_name, children in nesting.items():
+        for parent_name, children in NESTING.items():
             parents = [s for s in spans if s["name"] == parent_name]
             for child_name in children:
                 ok = any(
@@ -178,28 +142,27 @@ def check_trace(trace, plan_mode: bool) -> None:
         return True
 
     if not any(nests(by_trace[tid]) for tid in full):
-        want = (
-            "serve.batch > plan.execute on one thread"
-            if plan_mode
-            else "serve.batch > extract.batch > model.*/gemm.mm on one thread"
+        fail(
+            "no fully-traced request has properly nested spans "
+            "(serve.batch > plan.execute on one thread)"
         )
-        fail(f"no fully-traced request has properly nested spans ({want})")
     print(
         f"trace_check: trace OK — {len(events)} spans, "
         f"{len(full)} fully-traced request(s)"
     )
 
 
-def check_metrics(metrics, plan_mode: bool) -> None:
+def check_metrics(metrics) -> None:
     for section in ("counters", "gauges", "histograms"):
         if not isinstance(metrics.get(section), dict):
             fail(f"metrics JSON is missing the `{section}` map")
     counters = metrics["counters"]
-    # Every GEMM, dynamic or compiled, portable or AVX2 build, goes through
-    # the one instrumented entry, so gemm.calls counts in both modes.
-    required = ["serve.submitted", "serve.completed", "gemm.calls"]
-    if plan_mode:
-        required += ["plan.compiled", "plan.executions"]
+    # Plan GEMMs, portable or AVX2 build, go through the one instrumented
+    # entry, so gemm.calls counts them.
+    required = [
+        "serve.submitted", "serve.completed", "gemm.calls", "plan.compiled",
+        "plan.executions",
+    ]
     for name in required:
         if counters.get(name, 0) <= 0:
             fail(f"counter `{name}` is missing or zero")
@@ -212,14 +175,11 @@ def check_metrics(metrics, plan_mode: bool) -> None:
             f"obs.e2e_ms holds {e2e.get('count', 0)} samples, want one per "
             f"served request (completed + failed = {served})"
         )
-    if plan_mode:
-        detail = (
-            f"{counters['plan.compiled']} plan(s) compiled, "
-            f"{counters['plan.executions']} compiled execution(s), "
-            f"{counters['gemm.calls']} GEMM calls"
-        )
-    else:
-        detail = f"{counters['gemm.calls']} GEMM calls"
+    detail = (
+        f"{counters['plan.compiled']} plan(s) compiled, "
+        f"{counters['plan.executions']} plan run(s), "
+        f"{counters['gemm.calls']} GEMM calls"
+    )
     print(
         f"trace_check: metrics OK — {counters['serve.completed']} completed, "
         + detail
@@ -234,7 +194,6 @@ RECORD_REQUIRED = {
     "trace_id": int,
     "kind": str,
     "outcome": str,
-    "path": str,
     "batch_id": int,
     "batch_size": int,
     "worker": int,
@@ -254,7 +213,6 @@ RECORD_OUTCOMES = {
     "in_flight", "completed", "degraded", "failed", "deadline_expired",
     "shed", "rejected", "cancelled",
 }
-RECORD_PATHS = {"unknown", "dynamic", "plan", "fallback"}
 ANOMALY_KINDS = {"deadline_miss", "circuit_trip", "retry_storm",
                  "arena_growth"}
 
@@ -275,8 +233,6 @@ def check_record(record, where: str) -> None:
         fail(f"{where} has unknown kind {record['kind']!r}")
     if record["outcome"] not in RECORD_OUTCOMES:
         fail(f"{where} has unknown outcome {record['outcome']!r}")
-    if record["path"] not in RECORD_PATHS:
-        fail(f"{where} has unknown path {record['path']!r}")
     if "admission" in record and not isinstance(record["admission"], str):
         fail(f"{where} has a non-string `admission`")
 
@@ -433,8 +389,6 @@ def take_flag(argv: list[str], flag: str) -> str | None:
 
 def main() -> int:
     argv = sys.argv[1:]
-    plan_mode = "--plan" in argv
-    argv = [a for a in argv if a != "--plan"]
     prom = take_flag(argv, "--prom")
     recorder = take_flag(argv, "--recorder")
     dump = take_flag(argv, "--dump")
@@ -445,16 +399,16 @@ def main() -> int:
         return 2
     metrics = None
     if argv:
-        check_trace(load_json(argv[0]), plan_mode)
+        check_trace(load_json(argv[0]))
         metrics = load_json(argv[1])
-        check_metrics(metrics, plan_mode)
+        check_metrics(metrics)
     if prom is not None:
         check_prom(prom)
     if recorder is not None:
         check_recorder(load_json(recorder), metrics)
     if dump is not None:
         check_dump(load_json(dump))
-    print("trace_check: PASS" + (" (plan mode)" if plan_mode else ""))
+    print("trace_check: PASS")
     return 0
 
 

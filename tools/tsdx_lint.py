@@ -100,6 +100,14 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     literals, and SloEngine::on_event may be called, only in
                     that file — a second bump site is a second accounting
                     path that can disagree with the records.
+  serve-plan-only   A server has one execution path: the compiled plan.
+                    Under src/serve/, extract_batch may be called only on a
+                    PlanExecutor (a receiver named *executor*), never on a
+                    ScenarioExtractor — the dynamic forward stays for
+                    training and as the test oracle. And the deleted
+                    `use_compiled_plan` switch appears nowhere in the code,
+                    tests, benches, examples, tools or CI (this file
+                    excepted).
 
 Usage: tsdx_lint.py [repo_root]      (exit 0 = clean, 1 = violations)
 If repo_root is omitted it is derived from this script's location, so the
@@ -563,6 +571,39 @@ class Linter:
                                "— Recorder::finish derives it from the "
                                "request's record")
 
+    # ---- serve-plan-only ------------------------------------------------------
+
+    def check_serve_plan_only(self) -> None:
+        call = re.compile(r"(?<!\w)extract_batch\s*\(")
+        via_executor = re.compile(
+            r"\w*executor\w*\s*(?:\.|->)\s*extract_batch\s*\($")
+        for path in sorted((self.root / "src" / "serve").rglob("*")):
+            if path.suffix not in (".hpp", ".cpp", ".inc"):
+                continue
+            clean = strip_comments_and_strings(path.read_text())
+            for lineno, line in enumerate(clean.splitlines(), 1):
+                for m in call.finditer(line):
+                    if not via_executor.search(line[:m.end()]):
+                        self.error(path, lineno, "serve-plan-only",
+                                   "extract_batch outside a PlanExecutor in "
+                                   "src/serve/ — the server runs compiled "
+                                   "plans only")
+        knob = re.compile(r"\buse_compiled_plan\b")
+        this_file = Path(__file__).resolve()
+        for sub in ("src", "tests", "bench", "examples", "tools", ".github"):
+            for path in sorted((self.root / sub).rglob("*")):
+                if path.suffix not in (".hpp", ".cpp", ".inc", ".py",
+                                       ".yml", ".txt"):
+                    continue
+                if path.resolve() == this_file:
+                    continue
+                for lineno, line in enumerate(
+                        path.read_text().splitlines(), 1):
+                    if knob.search(line):
+                        self.error(path, lineno, "serve-plan-only",
+                                   "`use_compiled_plan` no longer exists — "
+                                   "servers always run compiled plans")
+
     # ---- driver -------------------------------------------------------------
 
     def run(self) -> int:
@@ -579,6 +620,7 @@ class Linter:
         self.check_plan_float_math()
         self.check_rows_libm()
         self.check_terminal_sink()
+        self.check_serve_plan_only()
         if self.errors:
             for e in self.errors:
                 print(e)
