@@ -262,7 +262,6 @@ FleetRow run_fleet_arc(
   // fleet fallback when every queue is full.
   cfg.server.overflow = serve::OverflowPolicy::kReject;
   cfg.fallback = make_fallback();
-  cfg.relay_threads = 4;
   cfg.max_attempts = 3;
   cfg.retry_budget_floor = 16.0;
   cfg.metrics = std::make_shared<obs::Registry>();

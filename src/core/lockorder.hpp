@@ -41,7 +41,7 @@ namespace tsdx::lockorder {
 /// than R; two locks of equal rank may never be held together. See
 /// DESIGN.md §12 for the prose version and the reasoning per level.
 enum class Rank : std::uint32_t {
-  kRouter = 2,            ///< Router lifecycle + pending count + probe mailbox;
+  kRouter = 2,            ///< Router lifecycle + pending count + timer heap;
                           ///< outermost of the whole hierarchy — the router
                           ///< drains/kills whole replica servers (rank 10+)
                           ///< while holding it
@@ -53,7 +53,8 @@ enum class Rank : std::uint32_t {
                           ///< a probe may submit into a replica while holding
                           ///< its state lock. One replica lock at a time —
                           ///< equal ranks may never nest.
-  kServerLifecycle = 10,  ///< InferenceServer lifecycle (drain/shutdown)
+  kServerLifecycle = 10,  ///< InferenceServer teardown-done flag; no
+                          ///< request resolves under it
   kQueue = 20,            ///< BoundedQueue request queue
   kServerPending = 30,    ///< InferenceServer accepted-request count
   kSupervisor = 40,       ///< InferenceServer dead-worker mailbox

@@ -66,8 +66,6 @@ bool same_weights(const core::ScenarioModel& model, const PolyPlan& plan) {
 
 }  // namespace
 
-PlanCache::PlanCache(CompileOptions options) : options_(options) {}
-
 PlanCache& PlanCache::global() {
   static PlanCache cache;
   return cache;
@@ -99,7 +97,7 @@ std::shared_ptr<const PolyPlan> PlanCache::lookup_or_compile(
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     const PolyPlan& plan = *it->plan;
     if (it->config == config && plan.clip_shape() == clip_shape &&
-        plan.options() == options_ && same_weights(model, plan)) {
+        same_weights(model, plan)) {
       std::rotate(it, it + 1, entries_.end());  // most recently used last
       return entries_.back().plan;
     }
@@ -107,7 +105,7 @@ std::shared_ptr<const PolyPlan> PlanCache::lookup_or_compile(
 
   std::shared_ptr<const PolyPlan> plan;
   try {
-    plan = PolyPlan::compile(model, clip_shape, options_);
+    plan = PolyPlan::compile(model, clip_shape);
   } catch (const TraceError&) {
     obs::Registry::global().counter("plan.trace_errors").inc();
     throw;

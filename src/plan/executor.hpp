@@ -64,17 +64,14 @@ class Arena {
 };
 
 /// Shared, thread-safe cache of compiled plans. The key is the model's
-/// config, the clip geometry, this cache's CompileOptions and the exact
-/// weights: a hit is confirmed by comparing the model's parameter bytes
-/// with the plan's snapshot, so a model rebuilt from the same seed reuses
-/// the plan and one that differs by a single weight bit compiles its own.
+/// config, the clip geometry and the exact weights: a hit is confirmed by
+/// comparing the model's parameter bytes with the plan's snapshot, so a
+/// model rebuilt from the same seed reuses the plan and one that differs by
+/// a single weight bit compiles its own.
 class PlanCache {
  public:
-  explicit PlanCache(CompileOptions options = {});
-
-  /// The process-wide cache (default CompileOptions). Every InferenceServer
-  /// compiles through it, so servers and Router replicas of one model share
-  /// one plan.
+  /// The process-wide cache. Every InferenceServer compiles through it, so
+  /// servers and Router replicas of one model share one plan.
   static PlanCache& global();
 
   /// The plan for `model` at the clip geometry its ModelConfig fixes,
@@ -92,7 +89,6 @@ class PlanCache {
                                              const tensor::Shape& input_shape)
       TSDX_EXCLUDES(mutex_);
 
-  const CompileOptions& options() const { return options_; }
   /// Plans held (at most kCapacity).
   std::size_t size() const TSDX_EXCLUDES(mutex_);
 
@@ -110,7 +106,6 @@ class PlanCache {
       const core::ScenarioModel& model, const tensor::Shape& clip_shape)
       TSDX_EXCLUDES(mutex_);
 
-  const CompileOptions options_;
   mutable Mutex mutex_{"plan.cache", lockorder::Rank::kPlan};
   /// Least recently used first.
   std::vector<Entry> entries_ TSDX_GUARDED_BY(mutex_);

@@ -6,23 +6,13 @@
 // out the per-fusion argument). Constant folding happens in the tracer
 // itself (trace.hpp), so a trace never keeps an intermediate's data.
 //
-// Pass order in PolyPlan::compile(): fuse_* (each gated by CompileOptions,
-// on both traces) → plan_memory (memory.hpp).
+// Pass order in PolyPlan::compile(): every fuse_* (on both traces) →
+// plan_memory (memory.hpp).
 #pragma once
 
 #include "plan/graph.hpp"
 
 namespace tsdx::plan {
-
-/// Which fusions to apply. All on by default; tests toggle one at a time to
-/// pin each fusion's equivalence independently.
-struct CompileOptions {
-  bool fuse_bias_gelu = true;
-  bool fuse_attention_softmax = true;
-  bool fuse_residual_norm = true;
-
-  bool operator==(const CompileOptions&) const = default;
-};
 
 /// add(x, bias) → gelu  ⇒  kBiasGelu (the Linear-into-GELU seam in Mlp).
 /// Fires when the add is a suffix broadcast and the gelu is its only

@@ -400,31 +400,28 @@ void bind_weights(Graph& graph, const core::ScenarioModel& model) {
 }
 
 Graph trace_and_fuse(const core::ScenarioModel& model, std::int64_t batch,
-                     const tensor::Shape& clip_shape,
-                     const CompileOptions& options) {
+                     const tensor::Shape& clip_shape) {
   tensor::Shape shape{batch};
   shape.insert(shape.end(), clip_shape.begin(), clip_shape.end());
   Graph graph = trace_model(model, shape);
-  if (options.fuse_attention_softmax) fuse_attention_softmax(graph);
-  if (options.fuse_bias_gelu) fuse_bias_gelu(graph);
-  if (options.fuse_residual_norm) fuse_residual_norm(graph);
+  fuse_attention_softmax(graph);
+  fuse_bias_gelu(graph);
+  fuse_residual_norm(graph);
   return graph;
 }
 
 }  // namespace
 
 std::shared_ptr<const PolyPlan> PolyPlan::compile(
-    const core::ScenarioModel& model, const tensor::Shape& clip_shape,
-    const CompileOptions& options) {
+    const core::ScenarioModel& model, const tensor::Shape& clip_shape) {
   const auto start = std::chrono::steady_clock::now();
   TSDX_TRACE_SPAN("plan.compile");
 
   std::shared_ptr<PolyPlan> poly(new PolyPlan());
   poly->clip_shape_ = clip_shape;
-  poly->options_ = options;
-  poly->unit_ = trace_and_fuse(model, 1, clip_shape, options);
+  poly->unit_ = trace_and_fuse(model, 1, clip_shape);
   {
-    const Graph pair = trace_and_fuse(model, 2, clip_shape, options);
+    const Graph pair = trace_and_fuse(model, 2, clip_shape);
     check_scaling(poly->unit_, pair);
     poly->pair_ops_ = pair.ops;
     poly->pair_numel_.reserve(pair.values.size());
@@ -477,11 +474,10 @@ std::shared_ptr<const Plan> PolyPlan::at(std::int64_t batch) const {
 }
 
 std::shared_ptr<const Plan> Plan::compile(const core::ScenarioModel& model,
-                                          const tensor::Shape& input_shape,
-                                          const CompileOptions& options) {
+                                          const tensor::Shape& input_shape) {
   TSDX_CHECK(!input_shape.empty(), "Plan::compile: empty input shape");
   const tensor::Shape clip(input_shape.begin() + 1, input_shape.end());
-  return PolyPlan::compile(model, clip, options)->at(input_shape.front());
+  return PolyPlan::compile(model, clip)->at(input_shape.front());
 }
 
 void Plan::run(const float* input, float* arena) const {

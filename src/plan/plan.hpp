@@ -43,8 +43,7 @@ class Plan {
   /// and instantiate it at input_shape[0]. Throws TraceError when the
   /// forward is untraceable or does not scale with B.
   static std::shared_ptr<const Plan> compile(const core::ScenarioModel& model,
-                                             const tensor::Shape& input_shape,
-                                             const CompileOptions& options);
+                                             const tensor::Shape& input_shape);
 
   /// Execute one forward. `input` is the video batch (input_shape layout,
   /// contiguous); `arena` must hold at least arena_bytes() (alignment: see
@@ -80,8 +79,7 @@ class PolyPlan {
   /// TraceError on any failure. Emits plan.compile_ms, plan.compiled,
   /// plan.fused_ops and plan.arena_bytes (per clip) to obs on success.
   static std::shared_ptr<const PolyPlan> compile(
-      const core::ScenarioModel& model, const tensor::Shape& clip_shape,
-      const CompileOptions& options);
+      const core::ScenarioModel& model, const tensor::Shape& clip_shape);
 
   /// This plan at `batch` clips: every attribute scaled, every arena
   /// offset multiplied by `batch`. Weights and constants are shared.
@@ -93,7 +91,6 @@ class PolyPlan {
     return unit_.arena_bytes * static_cast<std::size_t>(batch);
   }
   const tensor::Shape& clip_shape() const { return clip_shape_; }
-  const CompileOptions& options() const { return options_; }
   /// The parameter snapshot the plan reads (ScenarioModel::parameters()
   /// order) — the weight half of the plan cache's key.
   const std::vector<float>& weights() const { return *unit_.weights; }
@@ -107,7 +104,6 @@ class PolyPlan {
   std::vector<Op> pair_ops_;
   std::vector<std::int64_t> pair_numel_;
   tensor::Shape clip_shape_;
-  CompileOptions options_;
 };
 
 }  // namespace tsdx::plan

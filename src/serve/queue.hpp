@@ -157,8 +157,6 @@ class BoundedQueue {
     return items_.size();
   }
 
-  std::size_t capacity() const { return capacity_; }
-  OverflowPolicy policy() const { return policy_; }
 
  private:
   std::optional<T> pop_locked() TSDX_REQUIRES(mutex_) {

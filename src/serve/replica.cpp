@@ -1,5 +1,7 @@
 #include "serve/replica.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -50,24 +52,19 @@ std::shared_ptr<InferenceServer> ManagedReplica::server() const {
 
 std::size_t ManagedReplica::load() const {
   std::shared_ptr<InferenceServer> server;
-  std::size_t in_flight = 0;
+  std::int64_t in_flight = 0;
   {
     LockGuard lock(mutex_);
     if (state_ == ReplicaState::kDown || !server_) {
       return std::numeric_limits<std::size_t>::max();
     }
     server = server_;
-    in_flight = in_flight_;
+    in_flight = std::max<std::int64_t>(0, in_flight_);
   }
   // queue_depth() takes the server's queue lock (rank kQueue, above
   // kReplica) — taken here *outside* the replica lock regardless, since the
   // depth is advisory and a stale read only costs routing precision.
-  return in_flight + server->queue_depth();
-}
-
-std::size_t ManagedReplica::in_flight() const {
-  LockGuard lock(mutex_);
-  return in_flight_;
+  return static_cast<std::size_t>(in_flight) + server->queue_depth();
 }
 
 void ManagedReplica::on_dispatch() {
@@ -82,7 +79,7 @@ void ManagedReplica::on_outcome(bool success) {
   bool failed = false;
   {
     LockGuard lock(mutex_);
-    if (in_flight_ > 0) --in_flight_;
+    --in_flight_;
     if (success) {
       consecutive_failures_ = 0;
       retry_budget_.earn();
@@ -100,17 +97,12 @@ void ManagedReplica::on_outcome(bool success) {
 
 void ManagedReplica::on_expired() {
   LockGuard lock(mutex_);
-  if (in_flight_ > 0) --in_flight_;
+  --in_flight_;
 }
 
 bool ManagedReplica::try_spend_retry_token() {
   LockGuard lock(mutex_);
   return retry_budget_.try_spend();
-}
-
-double ManagedReplica::retry_tokens() const {
-  LockGuard lock(mutex_);
-  return retry_budget_.tokens;
 }
 
 void ManagedReplica::observe_circuit(CircuitState circuit) {
@@ -127,11 +119,6 @@ void ManagedReplica::mark_up() {
   if (!server_) return;  // killed: only revive() can bring it back
   consecutive_failures_ = 0;
   set_state_locked(ReplicaState::kUp);
-}
-
-void ManagedReplica::mark_down() {
-  LockGuard lock(mutex_);
-  set_state_locked(ReplicaState::kDown);
 }
 
 ManagedReplica::Clock::time_point ManagedReplica::down_since() const {
@@ -158,9 +145,8 @@ void ManagedReplica::kill() {
     set_state_locked(ReplicaState::kDown);
   }
   // Shut down outside the replica lock: shutdown() joins worker threads and
-  // may take a while; routing reads must not block behind it. Relay threads
-  // still holding shared_ptr copies keep the object alive until their
-  // in-flight futures resolve.
+  // may take a while; routing reads must not block behind it. Every request
+  // the server accepted resolves through its callback inside shutdown().
   if (doomed) doomed->shutdown();
 }
 
@@ -170,24 +156,6 @@ void ManagedReplica::revive() {
   server_ = std::move(fresh);
   consecutive_failures_ = 0;
   set_state_locked(ReplicaState::kUp);
-}
-
-void ManagedReplica::drain_server() {
-  std::shared_ptr<InferenceServer> server;
-  {
-    LockGuard lock(mutex_);
-    server = server_;
-  }
-  if (server) server->drain();
-}
-
-void ManagedReplica::shutdown_server() {
-  std::shared_ptr<InferenceServer> server;
-  {
-    LockGuard lock(mutex_);
-    server = server_;
-  }
-  if (server) server->shutdown();
 }
 
 void ManagedReplica::set_state_locked(ReplicaState next) {

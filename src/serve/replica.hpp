@@ -33,6 +33,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -111,10 +112,9 @@ class ManagedReplica {
   /// max(). Ties are broken by index, in the router.
   std::size_t load() const TSDX_EXCLUDES(mutex_);
 
-  std::size_t in_flight() const TSDX_EXCLUDES(mutex_);
-
   /// One dispatch left for this replica (submit accepted). Pairs with
-  /// exactly one on_outcome().
+  /// exactly one on_outcome() or on_expired(), which may come first: the
+  /// answer's callback can run before submit() returns.
   void on_dispatch() TSDX_EXCLUDES(mutex_);
 
   /// The dispatch resolved. Success resets the failure streak and earns
@@ -130,17 +130,15 @@ class ManagedReplica {
   /// Spend one retry-budget token if available (a retry is about to target
   /// this replica).
   bool try_spend_retry_token() TSDX_EXCLUDES(mutex_);
-  double retry_tokens() const TSDX_EXCLUDES(mutex_);
 
-  /// Probe-thread input: the replica's circuit-breaker state. OPEN demotes
+  /// Probe-tick input: the replica's circuit-breaker state. OPEN demotes
   /// UP -> DRAINING (steer away before it has to degrade more traffic);
   /// closing it promotes DRAINING -> UP. Never touches DOWN.
   void observe_circuit(CircuitState circuit) TSDX_EXCLUDES(mutex_);
 
-  /// Probe-thread verdicts. mark_up readmits a DOWN replica (probe
-  /// succeeded / heal backoff elapsed) and clears the failure streak.
+  /// Readmits a DOWN replica (probe succeeded / heal backoff elapsed) and
+  /// clears the failure streak.
   void mark_up() TSDX_EXCLUDES(mutex_);
-  void mark_down() TSDX_EXCLUDES(mutex_);
   /// When the replica entered DOWN (valid while state() == kDown).
   Clock::time_point down_since() const TSDX_EXCLUDES(mutex_);
 
@@ -153,10 +151,6 @@ class ManagedReplica {
 
   /// Rebuild the server from the original extractor/config and go UP.
   void revive() TSDX_EXCLUDES(mutex_);
-
-  /// Graceful teardown used by Router::drain()/shutdown(). Null-safe.
-  void drain_server() TSDX_EXCLUDES(mutex_);
-  void shutdown_server() TSDX_EXCLUDES(mutex_);
 
  private:
   void set_state_locked(ReplicaState next) TSDX_REQUIRES(mutex_);
@@ -172,7 +166,9 @@ class ManagedReplica {
   mutable Mutex mutex_{"route.replica", lockorder::Rank::kReplica};
   std::shared_ptr<InferenceServer> server_ TSDX_GUARDED_BY(mutex_);
   ReplicaState state_ TSDX_GUARDED_BY(mutex_) = ReplicaState::kUp;
-  std::size_t in_flight_ TSDX_GUARDED_BY(mutex_) = 0;
+  /// Dispatches minus answers: -1 for the instant between an answer and
+  /// its own on_dispatch().
+  std::int64_t in_flight_ TSDX_GUARDED_BY(mutex_) = 0;
   std::size_t consecutive_failures_ TSDX_GUARDED_BY(mutex_) = 0;
   RetryBudget retry_budget_ TSDX_GUARDED_BY(mutex_);
   Clock::time_point down_since_ TSDX_GUARDED_BY(mutex_){};

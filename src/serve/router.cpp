@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <exception>
-#include <thread>
+#include <stdexcept>
 #include <utility>
 
 #include "core/check.hpp"
@@ -24,8 +24,6 @@ Router::Router(std::shared_ptr<const core::ScenarioExtractor> extractor,
                           std::shared_ptr<void>(), &obs::Registry::global())),
       admission_(
           std::make_unique<AdmissionController>(config_.admission, *registry_)),
-      relay_queue_(std::max<std::size_t>(1, config_.relay_queue_capacity),
-                   OverflowPolicy::kBlock),
       accounts_(*registry_) {
   TSDX_CHECK(config_.replicas >= 1, "Router: need at least one replica, got ",
              config_.replicas);
@@ -45,9 +43,8 @@ Router::Router(std::shared_ptr<const core::ScenarioExtractor> extractor,
     replicas_.push_back(std::make_unique<ManagedReplica>(
         i, extractor_, std::move(replica_config), *registry_));
   }
-  relays_.spawn(std::max<std::size_t>(1, config_.relay_threads),
-                [this](std::size_t) { relay_loop(); });
-  prober_.spawn(1, [this](std::size_t) { probe_loop(); });
+  post(Timer{.due = Clock::now() + config_.probe_interval});
+  timer_thread_.spawn(1, [this](std::size_t) { timer_loop(); });
 }
 
 Router::~Router() { shutdown(); }
@@ -75,36 +72,21 @@ std::future<core::ExtractionResult> Router::submit(
                                  "': " + to_string(verdict));
   }
 
-  Ticket ticket;
-  ticket.tenant = tenant;
-  ticket.clip = std::move(clip);
-  ticket.deadline = deadline;
-  ticket.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  ticket.submit_time = now;
-  ticket.trace = trace;
-  ticket.rec = rec;
-  auto future = ticket.promise.get_future();
-  pending_inc();
+  const auto ticket = std::make_shared<Ticket>();
+  ticket->tenant = tenant;
+  ticket->clip = std::move(clip);
+  ticket->deadline = deadline;
+  ticket->sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
+  ticket->submit_time = now;
+  ticket->trace = trace;
+  ticket->rec = rec;
+  auto future = ticket->promise.get_future();
+  {
+    LockGuard lock(router_mutex_);
+    ++pending_;
+  }
 
-  std::exception_ptr dispatch_error;
-  if (dispatch(ticket, std::nullopt, false, &dispatch_error) !=
-      DispatchOutcome::kDispatched) {
-    resolve_fleet_dark(ticket, dispatch_error);
-    return future;
-  }
-  try {
-    relay_queue_.push(std::move(ticket));
-  } catch (const ServerStoppedError&) {
-    // shutdown() closed the relay queue between our accepting_ check and
-    // the push, which left the ticket with us. The inner request is already
-    // in flight on the replica (the replica's own shutdown resolves it);
-    // close the ticket as cancelled — counted failed, so route.admitted
-    // still balances — and report teardown to the caller.
-    replicas_[ticket.replica]->on_expired();
-    fail_ticket(ticket, std::current_exception(),
-                obs::Recorder::Outcome::kCancelled);
-    throw;
-  }
+  dispatch(ticket, std::nullopt);
   return future;
 }
 
@@ -139,15 +121,13 @@ std::optional<std::size_t> Router::pick_replica(
   return best;
 }
 
-Router::DispatchOutcome Router::dispatch(Ticket& ticket,
-                                         std::optional<std::size_t> exclude,
-                                         bool is_retry,
-                                         std::exception_ptr* last_error) {
+void Router::dispatch(const TicketPtr& ticket,
+                      std::optional<std::size_t> exclude) {
+  const bool is_retry = exclude.has_value();
   std::vector<bool> tried(replicas_.size(), false);
   bool budget_denied = false;
-  for (;;) {
-    const auto pick = pick_replica(exclude, tried);
-    if (!pick) break;
+  std::exception_ptr refused;  // the last submit that threw
+  while (const auto pick = pick_replica(exclude, tried)) {
     const std::size_t index = *pick;
     tried[index] = true;
     ManagedReplica& replica = *replicas_[index];
@@ -157,131 +137,122 @@ Router::DispatchOutcome Router::dispatch(Ticket& ticket,
     }
     const auto server = replica.server();
     if (!server) continue;
+    // Open the attempt first: its callback may run before submit() returns.
+    // Past submit(), this reads no ticket field a callback writes.
+    const std::size_t attempt = ticket->attempt;
+    ticket->open_attempt.store(attempt, std::memory_order_release);
     try {
       // Adopt the ticket's trace for the inner submit: the replica server
       // reuses an ambient context instead of minting, so the replica-side
       // record, spans, and exemplars all share the router's trace ID.
-      obs::trace::ContextGuard trace_guard(ticket.trace);
-      auto inner = server->submit(sim::VideoClip(ticket.clip), ticket.deadline);
+      obs::trace::ContextGuard trace_guard(ticket->trace);
+      server->submit(
+          sim::VideoClip(ticket->clip), ticket->deadline,
+          [this, ticket, attempt, index](core::ExtractionResult result,
+                                         std::exception_ptr error) {
+            if (claim(*ticket, attempt, index)) {
+              on_answer(ticket, std::move(result), std::move(error));
+            }
+          });
       replica.on_dispatch();
-      ticket.inner = std::move(inner);
-      ticket.replica = index;
-      ticket.rec.replica = static_cast<std::int32_t>(index);
-      return DispatchOutcome::kDispatched;
+      if (ticket->deadline) {
+        post(Timer{.due = *ticket->deadline + config_.deadline_grace,
+                   .kind = Timer::Kind::kWatchdog, .watched = ticket,
+                   .attempt = attempt, .replica = index});
+      }
+      return;
     } catch (const QueueFullError&) {
-      if (last_error) *last_error = std::current_exception();
+      refused = std::current_exception();
     } catch (const ServerStoppedError&) {
-      if (last_error) *last_error = std::current_exception();
+      refused = std::current_exception();
     }
+    ticket->open_attempt.store(0, std::memory_order_relaxed);
   }
-  return budget_denied ? DispatchOutcome::kNoBudget
-                       : DispatchOutcome::kNoCandidate;
+  const std::exception_ptr cause = is_retry ? ticket->error : refused;
+  if (budget_denied) {
+    // The budget is the storm brake: surface the original failure instead
+    // of hammering replicas that stopped earning tokens. That brake
+    // engaging IS the retry-storm signal.
+    obs::SloEngine::global().note_anomaly(obs::Anomaly::kRetryStorm,
+                                          ticket->trace.trace_id);
+    fail_ticket(*ticket, cause);
+    return;
+  }
+  resolve_fleet_dark(*ticket, cause);
 }
 
-void Router::relay_loop() {
-  for (;;) {
-    auto popped = relay_queue_.pop();
-    if (!popped) return;  // closed and empty
-    Ticket ticket = std::move(*popped);
-    service(ticket);
+bool Router::claim(Ticket& ticket, std::size_t attempt, std::size_t replica) {
+  std::size_t open = attempt;
+  if (!ticket.open_attempt.compare_exchange_strong(open, 0)) return false;
+  // route.retries / route.failovers derive from these at close.
+  if (attempt > 1) {
+    ++ticket.rec.attempts;
+    if (replica != ticket.replica) ++ticket.rec.failovers;
   }
+  ticket.replica = replica;
+  ticket.rec.replica = static_cast<std::int32_t>(replica);
+  return true;
 }
 
-void Router::service(Ticket& ticket) {
-  for (;;) {
-    if (ticket.deadline) {
-      const auto give_up = *ticket.deadline + config_.deadline_grace;
-      if (ticket.inner.wait_until(give_up) != std::future_status::ready) {
-        // The replica is wedged past the deadline + grace (its own batcher
-        // would have expired an undispatched request by now). Abandon the
-        // inner future — deadlines are never extended — and charge the
-        // stall to the replica's failure streak.
-        replicas_[ticket.replica]->on_outcome(false);
-        // The inner server never saw this expiry (it's wedged inside the
-        // batch), so the router is the one that flags the miss.
-        obs::SloEngine::global().note_anomaly(obs::Anomaly::kDeadlineMiss,
-                                              ticket.trace.trace_id);
-        fail_ticket(ticket,
-                    std::make_exception_ptr(DeadlineExceededError(
-                        "deadline passed while replica" +
-                        std::to_string(ticket.replica) + " stalled")),
-                    obs::Recorder::Outcome::kDeadlineExpired);
-        return;
-      }
-    } else {
-      ticket.inner.wait();
-    }
-
-    std::exception_ptr error;
-    try {
-      core::ExtractionResult result = ticket.inner.get();
-      replicas_[ticket.replica]->on_outcome(true);
-      complete_ticket(ticket, std::move(result));
-      return;
-    } catch (const DeadlineExceededError&) {
-      // Scrubbed pre-dispatch by the replica: overload, not a shard fault —
-      // and the deadline cannot be extended, so there is nothing to retry.
-      replicas_[ticket.replica]->on_expired();
-      fail_ticket(ticket, std::current_exception(),
-                  obs::Recorder::Outcome::kDeadlineExpired);
-      return;
-    } catch (...) {
-      error = std::current_exception();
-    }
-    replicas_[ticket.replica]->on_outcome(false);
-
-    if (shutting_down_.load(std::memory_order_acquire) ||
-        ticket.attempt >= config_.max_attempts) {
-      if (!shutting_down_.load(std::memory_order_acquire)) {
-        // The request burned every attempt it was allowed — retry storm
-        // territory; dump the recorder so the sequence of shards and
-        // backoffs is reconstructible.
-        obs::SloEngine::global().note_anomaly(obs::Anomaly::kRetryStorm,
-                                              ticket.trace.trace_id);
-      }
-      fail_ticket(ticket, error);
-      return;
-    }
-    const auto backoff = backoff_for(ticket);
-    if (ticket.deadline &&
-        Clock::now() + backoff + config_.retry_cost_floor >= *ticket.deadline) {
-      // Fail fast: the remaining budget cannot cover backoff plus a useful
-      // attempt. The original submit_within deadline stands — a retry never
-      // buys the request more time.
-      fail_ticket(ticket,
-                  std::make_exception_ptr(DeadlineExceededError(
-                      "remaining deadline budget cannot cover a retry after "
-                      "attempt " +
-                      std::to_string(ticket.attempt) + " failed")),
-                  obs::Recorder::Outcome::kDeadlineExpired);
-      return;
-    }
-    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-
-    const std::size_t failed_replica = ticket.replica;
-    ticket.attempt += 1;
-    switch (dispatch(ticket, failed_replica, true, nullptr)) {
-      case DispatchOutcome::kDispatched:
-        // route.retries / route.failovers derive from these at close.
-        ++ticket.rec.attempts;
-        if (ticket.replica != failed_replica) ++ticket.rec.failovers;
-        ticket.rec.backoff_ns +=
-            std::chrono::duration_cast<std::chrono::nanoseconds>(backoff)
-                .count();
-        break;  // await the new inner future
-      case DispatchOutcome::kNoCandidate:
-        resolve_fleet_dark(ticket, error);
-        return;
-      case DispatchOutcome::kNoBudget:
-        // The budget is the storm brake: surface the original failure
-        // instead of hammering replicas that stopped earning tokens. That
-        // brake engaging IS the retry-storm signal.
-        obs::SloEngine::global().note_anomaly(obs::Anomaly::kRetryStorm,
-                                              ticket.trace.trace_id);
-        fail_ticket(ticket, error);
-        return;
-    }
+void Router::on_answer(const TicketPtr& shared, core::ExtractionResult result,
+                       std::exception_ptr error) {
+  Ticket& ticket = *shared;
+  ManagedReplica& replica = *replicas_[ticket.replica];
+  if (error == nullptr) {
+    replica.on_outcome(true);
+    complete_ticket(ticket, std::move(result));
+    return;
   }
+  try {
+    std::rethrow_exception(error);
+  } catch (const DeadlineExceededError&) {
+    // Scrubbed pre-dispatch by the replica: overload, not a shard fault —
+    // and the deadline cannot be extended, so there is nothing to retry.
+    replica.on_expired();
+    fail_ticket(ticket, error, obs::Recorder::Outcome::kDeadlineExpired);
+    return;
+  } catch (const std::invalid_argument&) {
+    // The caller's malformed clip, which every replica refuses alike: it
+    // fails alone, unretried, with no verdict on this replica's health.
+    replica.on_expired();
+    fail_ticket(ticket, error);
+    return;
+  } catch (...) {
+  }
+  replica.on_outcome(false);  // a replica fault
+
+  const bool stopping = shutting_down_.load(std::memory_order_acquire);
+  if (stopping || ticket.attempt >= config_.max_attempts) {
+    // The request burned every attempt it was allowed — retry storm
+    // territory; dump the recorder so the sequence of shards and backoffs
+    // is reconstructible.
+    if (!stopping) {
+      obs::SloEngine::global().note_anomaly(obs::Anomaly::kRetryStorm,
+                                            ticket.trace.trace_id);
+    }
+    fail_ticket(ticket, error);
+    return;
+  }
+  const auto backoff = backoff_for(ticket);
+  const auto now = Clock::now();
+  if (ticket.deadline &&
+      now + backoff + config_.retry_cost_floor >= *ticket.deadline) {
+    // Fail fast: the remaining budget cannot cover backoff plus a useful
+    // attempt. The original submit_within deadline stands — a retry never
+    // buys the request more time.
+    fail_ticket(ticket,
+                std::make_exception_ptr(DeadlineExceededError(
+                    "remaining deadline budget cannot cover a retry after "
+                    "attempt " +
+                    std::to_string(ticket.attempt) + " failed")),
+                obs::Recorder::Outcome::kDeadlineExpired);
+    return;
+  }
+  ticket.error = error;
+  ticket.rec.backoff_ns +=
+      std::chrono::duration_cast<std::chrono::nanoseconds>(backoff).count();
+  post(Timer{.due = now + backoff, .kind = Timer::Kind::kRetry,
+             .ticket = shared});
 }
 
 std::chrono::microseconds Router::backoff_for(const Ticket& ticket) const {
@@ -348,31 +319,69 @@ void Router::release_ticket(Ticket& ticket) {
   if (pending_ == 0) pending_cv_.notify_all();
 }
 
-void Router::pending_inc() {
-  LockGuard lock(router_mutex_);
-  ++pending_;
+void Router::post(Timer timer) {
+  {
+    LockGuard lock(router_mutex_);
+    timers_.push(std::move(timer));
+  }
+  timer_cv_.notify_one();
 }
 
-void Router::wait_pending_zero() {
-  UniqueLock lock(router_mutex_);
-  while (pending_ != 0) {
-    pending_cv_.wait(lock);
+void Router::timer_loop() {
+  for (;;) {
+    Timer timer;
+    {
+      UniqueLock lock(router_mutex_);
+      for (;;) {
+        if (timer_stop_) return;
+        if (timers_.empty()) {
+          timer_cv_.wait(lock);
+          continue;
+        }
+        const Clock::time_point due = timers_.top().due;
+        if (Clock::now() >= due) break;
+        timer_cv_.wait_until(lock, due);
+      }
+      timer = timers_.top();
+      timers_.pop();
+    }
+    fire(timer);
   }
 }
 
-void Router::probe_loop() {
-  for (;;) {
-    {
-      UniqueLock lock(router_mutex_);
-      const auto wake = Clock::now() + config_.probe_interval;
-      while (!probe_stop_) {
-        if (probe_cv_.wait_until(lock, wake) == std::cv_status::timeout) {
-          break;
-        }
+void Router::fire(const Timer& timer) {
+  switch (timer.kind) {
+    case Timer::Kind::kRetry:
+      if (shutting_down_.load(std::memory_order_acquire)) {
+        fail_ticket(*timer.ticket, timer.ticket->error);  // retries disabled
+        return;
       }
-      if (probe_stop_) return;
+      timer.ticket->attempt += 1;
+      dispatch(timer.ticket, timer.ticket->replica);
+      return;
+    case Timer::Kind::kWatchdog: {
+      const TicketPtr shared = timer.watched.lock();
+      if (!shared || !claim(*shared, timer.attempt, timer.replica)) return;
+      Ticket& ticket = *shared;
+      // The replica is wedged past the deadline + grace (its batcher would
+      // have expired an undispatched request by now): abandon the attempt
+      // — deadlines are never extended — charge the stall to the replica,
+      // and flag the miss the wedged server cannot see.
+      replicas_[timer.replica]->on_outcome(false);
+      obs::SloEngine::global().note_anomaly(obs::Anomaly::kDeadlineMiss,
+                                            ticket.trace.trace_id);
+      fail_ticket(ticket,
+                  std::make_exception_ptr(DeadlineExceededError(
+                      "deadline passed while replica" +
+                      std::to_string(timer.replica) + " stalled")),
+                  obs::Recorder::Outcome::kDeadlineExpired);
+      return;
     }
-    probe_tick();
+    case Timer::Kind::kProbe:
+      if (!accepting_.load(std::memory_order_acquire)) return;  // stopped
+      probe_tick();
+      post(Timer{.due = Clock::now() + config_.probe_interval});
+      return;
   }
 }
 
@@ -385,73 +394,64 @@ void Router::probe_tick() {
     if (!server) continue;  // killed — only revive_replica() brings it back
     replica.observe_circuit(server->circuit_state());
     if (replica.state() != ReplicaState::kDown) continue;
-    if (config_.probe_clip) {
-      bool healthy = false;
-      try {
-        auto probe = server->submit_within(
-            sim::VideoClip(*config_.probe_clip), config_.probe_timeout);
-        if (probe.wait_until(Clock::now() + 2 * config_.probe_timeout) ==
-            std::future_status::ready) {
-          probe.get();  // throws if the probe failed
-          healthy = true;
-        }
-      } catch (...) {
-        healthy = false;
+    if (!config_.probe_clip) {
+      if (now - replica.down_since() >= config_.heal_backoff) {
+        replica.mark_up();
       }
-      if (healthy) replica.mark_up();
-    } else if (now - replica.down_since() >= config_.heal_backoff) {
-      replica.mark_up();
+      continue;
+    }
+    // Active heal: the probe's callback readmits the replica, so this
+    // thread never waits for it. A full queue would park this thread in a
+    // kBlock submit; the next tick tries again.
+    if (server->queue_depth() >= server->config().queue_capacity) continue;
+    try {
+      server->submit(
+          sim::VideoClip(*config_.probe_clip), now + config_.probe_timeout,
+          [&replica](core::ExtractionResult, std::exception_ptr error) {
+            if (error == nullptr) replica.mark_up();
+          });
+    } catch (...) {
+      // Refused (queue full / stopped): the next tick tries again.
     }
   }
 }
 
-void Router::stop_prober() {
+void Router::finish() {
   {
-    LockGuard lock(router_mutex_);
-    probe_stop_ = true;
-    probe_cv_.notify_all();
+    UniqueLock lock(router_mutex_);
+    while (pending_ != 0) {
+      pending_cv_.wait(lock);
+    }
+    timer_stop_ = true;
   }
-  prober_.join();
+  timer_cv_.notify_all();
+  timer_thread_.join();
 }
 
 void Router::drain() {
-  {
-    LockGuard lock(router_mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  accepting_.store(false, std::memory_order_release);
-  stop_prober();
+  if (!accepting_.exchange(false, std::memory_order_acq_rel)) return;
   // Drain replicas one by one: each completes every request it accepted.
   // Replicas must drain before the pending wait — an inline (workers == 0)
-  // server only processes its queue inside drain(). The flip side: a retry
-  // sleeping out its backoff can wake to a drained fleet and resolve
+  // server only processes its queue inside drain(). The timer thread keeps
+  // serving retries and watchdogs until nothing is pending. The flip side:
+  // a retry whose backoff ends after its target drained resolves
   // fleet-dark, so callers that need every retry to play out against live
   // replicas must settle (stats().pending == 0) before calling drain().
-  for (auto& replica : replicas_) replica->drain_server();
-  wait_pending_zero();
-  relay_queue_.close();
-  relays_.join();
+  for (auto& replica : replicas_) {
+    if (const auto server = replica->server()) server->drain();
+  }
+  finish();
 }
 
 void Router::shutdown() {
-  {
-    LockGuard lock(router_mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  accepting_.store(false, std::memory_order_release);
+  if (!accepting_.exchange(false, std::memory_order_acq_rel)) return;
+  // Retries are off from here: a callback fails its ticket instead of
+  // posting one, and a retry already in the heap fails when it comes due.
   shutting_down_.store(true, std::memory_order_release);
-  stop_prober();
-  for (auto& replica : replicas_) replica->shutdown_server();
-  // Every inner future is resolved now (shutdown fails queued requests and
-  // finishes in-flight batches), and shutting_down_ disables retries.
-  // Tickets still parked in the relay queue are serviced right here so no
-  // router future is ever abandoned.
-  auto leftovers = relay_queue_.close_and_drain();
-  for (auto& ticket : leftovers) service(ticket);
-  wait_pending_zero();
-  relays_.join();
+  for (auto& replica : replicas_) {
+    if (const auto server = replica->server()) server->shutdown();
+  }
+  finish();
 }
 
 void Router::kill_replica(std::size_t index) {

@@ -10,19 +10,17 @@
 //        │                 least-loaded dispatch ──▶ ManagedReplica[0..N)
 //        │                 (tier by health, then         each: InferenceServer
 //        │                  load, then index)            + health state
-//        │                                               + retry budget
-//        └── relay threads ◀── relay queue ◀── Ticket
-//            (await inner future; classify outcome;      probe thread
-//             failover-retry with jittered backoff       (queue gauges,
-//             or resolve the router future)               circuit watch,
-//                                                         DOWN heal probes)
+//        │                       ▲ retries               + retry budget
+//        └── done callback ◀─────┼────────────────────────────┘
+//            (classify; resolve, │
+//             or post a retry) ──┴─▶ timer heap ─▶ timer thread (retries,
+//                                                  watchdogs, probe ticks)
 //
 // * submit() admits (or rejects, AdmissionRejectedError), picks the
-//   least-loaded healthy replica (deterministic: lowest (tier, load, index)),
-//   forwards the clip, and parks a Ticket — the router-side promise plus the
-//   replica-side future — on the relay queue.
-// * Relay threads await inner futures and classify: success resolves the
-//   router future; a replica fault triggers a deadline-aware retry — the
+//   least-loaded healthy replica (deterministic: lowest (tier, load, index))
+//   and forwards the clip with a completion callback; no thread waits on it.
+// * The callback classifies the answer: success resolves the router future;
+//   a replica fault posts a deadline-aware retry to the timer heap — the
 //   original deadline is NEVER extended, a retry must fit backoff +
 //   retry_cost_floor inside the remaining budget or the request fails fast
 //   with DeadlineExceededError; each retry spends a token from the *target*
@@ -32,15 +30,20 @@
 //   kDegradedWarning. chaos_test kills a replica mid-stream and counts.
 // * Lock ranks kRouter(2) < kAdmission(4) < kReplica(6) sit *below* every
 //   server-internal rank, so router code may call into replica servers while
-//   holding router state — never the reverse (DESIGN.md §12).
+//   holding router state; servers run callbacks holding no lock of theirs
+//   (DESIGN.md §12).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -50,7 +53,6 @@
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "serve/admission.hpp"
-#include "serve/queue.hpp"
 #include "serve/replica.hpp"
 #include "serve/server.hpp"
 #include "serve/thread_pool.hpp"
@@ -71,11 +73,6 @@ struct RouterConfig {
   /// server.fallback, which each replica's own circuit breaker uses.
   std::shared_ptr<const FallbackExtractor> fallback;
 
-  /// Relay threads awaiting inner futures. Each blocked relay is one
-  /// in-flight request being shepherded; size it like a connection pool.
-  std::size_t relay_threads = 2;
-  std::size_t relay_queue_capacity = 256;
-
   /// Total dispatch attempts per request (1 = no retries).
   std::size_t max_attempts = 3;
   /// Backoff before attempt k+1: retry_backoff x 2^(k-1), capped, then
@@ -86,10 +83,10 @@ struct RouterConfig {
   /// Minimum useful remaining deadline budget after backoff: a retry that
   /// cannot fit backoff + retry_cost_floor before the deadline fails fast.
   std::chrono::microseconds retry_cost_floor{1000};
-  /// How long past a request's deadline a relay keeps waiting on a wedged
-  /// replica before abandoning the inner future and failing the request
-  /// (the inner server normally expires it first; the grace covers a stall
-  /// inside extract_batch).
+  /// How long past a request's deadline the router waits for a wedged
+  /// replica's answer before its watchdog abandons the attempt and fails
+  /// the request (the inner server normally expires it first; the grace
+  /// covers a stall inside extract_batch).
   std::chrono::microseconds deadline_grace{2000};
   std::uint64_t seed = 0;
 
@@ -104,14 +101,15 @@ struct RouterConfig {
   /// Health-probe cadence. Each tick refreshes queue-depth gauges, mirrors
   /// circuit state into UP/DRAINING, and tries to readmit DOWN replicas.
   std::chrono::milliseconds probe_interval{20};
-  /// Deadline for an active heal probe's answer.
+  /// Deadline of an active heal probe: a probe the replica has not
+  /// dispatched by then fails there with DeadlineExceededError.
   std::chrono::milliseconds probe_timeout{250};
   /// Passive heal: with no probe_clip, a DOWN (but not killed) replica is
   /// optimistically readmitted after this long.
   std::chrono::milliseconds heal_backoff{100};
-  /// Active heal: a canned clip submitted to DOWN replicas; success (within
-  /// probe_timeout) readmits. Leave unset for workers == 0 replicas — with
-  /// no worker threads a probe can never complete, so passive heal applies.
+  /// Active heal: a canned clip submitted to DOWN replicas; a successful
+  /// answer readmits. Leave unset for workers == 0 replicas — with no
+  /// worker threads a probe can never complete, so passive heal applies.
   std::optional<sim::VideoClip> probe_clip;
 
   /// Metrics registry (route.* series plus every replica's serve.* series).
@@ -139,7 +137,7 @@ class Router {
   using Clock = std::chrono::steady_clock;
 
   /// Builds `config.replicas` InferenceServers over the shared frozen
-  /// extractor and starts the relay pool + health-probe thread.
+  /// extractor and starts the router's timer thread.
   Router(std::shared_ptr<const core::ScenarioExtractor> extractor,
          RouterConfig config);
 
@@ -167,12 +165,13 @@ class Router {
     return submit(std::move(clip), Clock::now() + timeout, tenant);
   }
 
-  /// Stop intake, resolve every accepted request (draining each replica),
-  /// stop relays and prober.
+  /// Stop intake and probing, resolve every accepted request (draining
+  /// each replica; retries still play out), stop the timer thread.
   void drain() TSDX_EXCLUDES(router_mutex_);
 
-  /// Stop intake, shut every replica down (queued inner requests fail),
-  /// resolve every accepted router future, stop relays and prober.
+  /// Stop intake, disable retries (one waiting out its backoff fails when
+  /// due), shut every replica down (queued inner requests fail), resolve
+  /// every accepted router future, stop the timer thread.
   void shutdown() TSDX_EXCLUDES(router_mutex_);
 
   /// Chaos/test surface: hard-kill replica i (its server shuts down; the
@@ -199,9 +198,11 @@ class Router {
     std::uint64_t sequence = 0;
     std::optional<Clock::time_point> deadline;
     std::promise<core::ExtractionResult> promise;
-    std::future<core::ExtractionResult> inner;
-    std::size_t replica = 0;  ///< current attempt's target
     std::size_t attempt = 1;  ///< dispatch attempts made
+    /// The dispatched attempt no one has claimed yet (0: none).
+    std::atomic<std::size_t> open_attempt{0};
+    std::size_t replica = 0;  ///< the last claimed attempt's target
+    std::exception_ptr error;  ///< the failure a posted retry retries
     Clock::time_point submit_time;
     obs::trace::Context trace;
     /// The router hop's flight record: admission verdict, replica and
@@ -209,11 +210,19 @@ class Router {
     /// obs::Recorder::finish — the one source of the route.* counts.
     obs::Recorder::Record rec;
   };
+  using TicketPtr = std::shared_ptr<Ticket>;
 
-  enum class DispatchOutcome {
-    kDispatched,
-    kNoCandidate,  ///< no dispatchable replica at all (fleet dark)
-    kNoBudget      ///< candidates existed but every retry budget was empty
+  /// A timer heap entry: dispatch a retry, fail an attempt still unclaimed
+  /// at its deadline + grace (watchdog), or run a probe tick.
+  struct Timer {
+    enum class Kind { kRetry, kWatchdog, kProbe };
+    Clock::time_point due;
+    Kind kind = Kind::kProbe;
+    TicketPtr ticket{};               ///< kRetry: owned while it backs off
+    std::weak_ptr<Ticket> watched{};  ///< kWatchdog: never kept alive by it
+    std::size_t attempt = 0;
+    std::size_t replica = 0;
+    bool operator>(const Timer& other) const { return due > other.due; }
   };
 
   /// Deterministic least-loaded pick: lowest (tier, load, index) among
@@ -224,28 +233,33 @@ class Router {
       std::optional<std::size_t> exclude,
       const std::vector<bool>& tried) const;
 
-  /// Submit the ticket's clip to the best candidate, walking down the
-  /// preference order past replicas whose submit throws (queue full /
-  /// stopped); the last such throw is reported through `last_error` (may be
-  /// null). Retries additionally spend a token from each candidate's retry
-  /// budget before targeting it.
-  DispatchOutcome dispatch(Ticket& ticket, std::optional<std::size_t> exclude,
-                           bool is_retry, std::exception_ptr* last_error);
+  /// Submit the ticket's clip to the best candidate with a completion
+  /// callback, walking down the preference order past replicas whose
+  /// submit throws (queue full / stopped), and arm the attempt's watchdog.
+  /// A retry spends a token from each candidate's retry budget first. When
+  /// no replica takes the clip the ticket resolves here: fleet-dark, or
+  /// failed when only the retry budgets stood in the way.
+  void dispatch(const TicketPtr& ticket, std::optional<std::size_t> exclude);
 
-  void relay_loop();
-  /// Await the ticket's inner future and drive it to resolution (possibly
-  /// through several retries). On return the router future is resolved.
-  void service(Ticket& ticket);
+  /// True exactly once per dispatched attempt: for its callback or for its
+  /// watchdog, whichever comes first. The winner records the attempt.
+  static bool claim(Ticket& ticket, std::size_t attempt, std::size_t replica);
+  /// A claimed attempt's answer: resolve the ticket or post a retry.
+  void on_answer(const TicketPtr& ticket, core::ExtractionResult result,
+                 std::exception_ptr error);
   /// Backoff before the ticket's next attempt (exponential + seeded jitter).
   std::chrono::microseconds backoff_for(const Ticket& ticket) const;
 
-  void probe_loop() TSDX_EXCLUDES(router_mutex_);
+  void post(Timer timer) TSDX_EXCLUDES(router_mutex_);
+  void timer_loop() TSDX_EXCLUDES(router_mutex_);
+  void fire(const Timer& timer);
   void probe_tick();
-  void stop_prober() TSDX_EXCLUDES(router_mutex_);
+  /// Wait until nothing is pending, then stop the timer thread.
+  void finish() TSDX_EXCLUDES(router_mutex_);
 
   /// Fleet fully dark: answer from config_.fallback (degraded) or fail with
-  /// `cause` (the last per-replica submit error) when one exists, else
-  /// NoReplicaAvailableError. Resolves the ticket either way.
+  /// `cause` (the failure a retry retried, or the last per-replica submit
+  /// error) when one exists, else NoReplicaAvailableError.
   void resolve_fleet_dark(Ticket& ticket, std::exception_ptr cause = nullptr);
   void complete_ticket(Ticket& ticket, core::ExtractionResult result);
   void fail_ticket(
@@ -258,17 +272,12 @@ class Router {
   /// Admission release + pending decrement, after the promise is resolved.
   void release_ticket(Ticket& ticket) TSDX_EXCLUDES(router_mutex_);
 
-  void pending_inc() TSDX_EXCLUDES(router_mutex_);
-  void wait_pending_zero() TSDX_EXCLUDES(router_mutex_);
-
   const std::shared_ptr<const core::ScenarioExtractor> extractor_;
   const RouterConfig config_;
   const std::shared_ptr<obs::Registry> registry_;  // never null
   std::unique_ptr<AdmissionController> admission_;
   std::vector<std::unique_ptr<ManagedReplica>> replicas_;
-  BoundedQueue<Ticket> relay_queue_;
-  ThreadPool relays_;
-  ThreadPool prober_;
+  ThreadPool timer_thread_;
 
   /// The route.* series Recorder::finish derives closed records into.
   const obs::Recorder::RouterAccounts accounts_;
@@ -278,14 +287,14 @@ class Router {
   std::atomic<bool> shutting_down_{false};
   std::atomic<std::uint64_t> next_sequence_{0};
 
-  /// Outermost router lock (rank kRouter): pending count, prober stop flag,
-  /// teardown serialization.
+  /// Outermost router lock (rank kRouter): pending count, timer heap.
   mutable Mutex router_mutex_{"route.router", lockorder::Rank::kRouter};
   CondVar pending_cv_;
-  CondVar probe_cv_;
+  CondVar timer_cv_;
   std::size_t pending_ TSDX_GUARDED_BY(router_mutex_) = 0;
-  bool probe_stop_ TSDX_GUARDED_BY(router_mutex_) = false;
-  bool stopped_ TSDX_GUARDED_BY(router_mutex_) = false;
+  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_
+      TSDX_GUARDED_BY(router_mutex_);
+  bool timer_stop_ TSDX_GUARDED_BY(router_mutex_) = false;
 };
 
 }  // namespace tsdx::serve

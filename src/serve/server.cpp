@@ -94,6 +94,18 @@ InferenceServer::~InferenceServer() { shutdown(); }
 
 std::future<core::ExtractionResult> InferenceServer::submit(
     sim::VideoClip clip, std::optional<Clock::time_point> deadline) {
+  auto promise = std::make_shared<std::promise<core::ExtractionResult>>();
+  submit(std::move(clip), deadline,
+         [promise](core::ExtractionResult result, std::exception_ptr error) {
+           if (error != nullptr) return promise->set_exception(error);
+           promise->set_value(std::move(result));
+         });
+  return promise->get_future();
+}
+
+void InferenceServer::submit(sim::VideoClip clip,
+                             std::optional<Clock::time_point> deadline,
+                             DoneCallback done) {
   if (!accepting_.load(std::memory_order_acquire)) {
     throw ServerStoppedError("submit after drain()/shutdown()");
   }
@@ -115,7 +127,7 @@ std::future<core::ExtractionResult> InferenceServer::submit(
   TSDX_TRACE_SPAN("serve.submit");
   request.submit_time = Clock::now();
   request.deadline = deadline;
-  std::future<core::ExtractionResult> future = request.promise.get_future();
+  request.done = std::move(done);
   {
     LockGuard lock(pending_mutex_);
     ++pending_;
@@ -140,7 +152,7 @@ std::future<core::ExtractionResult> InferenceServer::submit(
             std::to_string(request.clip.data.size()) +
             " values] does not match the model's clip geometry " +
             tensor::to_string(clip_shape))));
-    return future;
+    return;
   }
 
   // A deadline already in the past fails fast: the request is accounted for
@@ -148,12 +160,12 @@ std::future<core::ExtractionResult> InferenceServer::submit(
   // cannot displace live work.
   if (deadline && *deadline <= request.submit_time) {
     stats_.on_submit(queue_.size());
-    close_request(request, obs::Recorder::Outcome::kDeadlineExpired);
+    close_request(request, obs::Recorder::Outcome::kDeadlineExpired,
+                  std::make_exception_ptr(DeadlineExceededError(
+                      "deadline already expired at submit()")));
     obs::SloEngine::global().note_anomaly(obs::Anomaly::kDeadlineMiss,
                                           request.trace.trace_id);
-    request.promise.set_exception(std::make_exception_ptr(
-        DeadlineExceededError("deadline already expired at submit()")));
-    return future;
+    return;
   }
 
   std::optional<Request> shed;
@@ -164,7 +176,7 @@ std::future<core::ExtractionResult> InferenceServer::submit(
   } catch (...) {
     // QueueFullError (kReject), or ServerStoppedError to a kBlock push
     // parked on a full queue that shutdown() woke. Either way the client
-    // gets this throw instead of a future, and the push left the request
+    // gets this throw instead of a callback, and the push left the request
     // with us: it counts as rejected.
     close_request(request, obs::Recorder::Outcome::kRejected);
     throw;
@@ -179,7 +191,6 @@ std::future<core::ExtractionResult> InferenceServer::submit(
                       "request shed by a newer submission "
                       "(OverflowPolicy::kShedOldest)")));
   }
-  return future;
 }
 
 InferenceServer::Replica InferenceServer::make_replica(
@@ -194,7 +205,7 @@ void InferenceServer::worker_loop(std::size_t worker_index) {
     try {
       process_batch(replica, fill_batch(std::move(*first)));
     } catch (const WorkerFault&) {
-      // The batch's futures are already failed; this thread is done. The
+      // The batch's requests are already failed; this thread is done. The
       // supervisor spawns a replacement with the same index.
       report_worker_death(worker_index);
       return;
@@ -314,19 +325,18 @@ void InferenceServer::process_batch(Replica& replica,
                "InferenceServer: the plan returned ", results.size(),
                " results for a batch of ", live.size());
     // Accounting before resolution, here and in the catch below: a client
-    // that has observed its future's outcome must also observe the
-    // matching counters and circuit state (future.get() synchronizes with
-    // set_value/set_exception, so updates sequenced before those calls
-    // are visible after it).
+    // that has observed its request's outcome must also observe the
+    // matching counters and circuit state (updates sequenced before the
+    // callback are visible to whoever it hands the outcome to).
     circuit_.on_success();
     for (; resolved < live.size(); ++resolved) {
       Request& request = live[resolved];
       notify_result(request, results[resolved], /*degraded=*/false);
       close_request(request, obs::Recorder::Outcome::kCompleted);
-      request.promise.set_value(std::move(results[resolved]));
+      request.done(std::move(results[resolved]), nullptr);
     }
   } catch (...) {
-    // Worker fault: every future still in flight on this worker fails with
+    // Worker fault: every request still in flight on this worker fails with
     // the captured exception. The worker thread then dies and is restarted
     // by the supervisor (WorkerFault signal).
     const std::exception_ptr error = std::current_exception();
@@ -349,7 +359,7 @@ void InferenceServer::process_degraded(std::vector<Request>& requests) {
       // degraded_completions already counting it.
       notify_result(request, result, /*degraded=*/true);
       close_request(request, obs::Recorder::Outcome::kDegraded);
-      request.promise.set_value(std::move(result));
+      request.done(std::move(result), nullptr);
     } catch (...) {
       // A fallback error fails only this request — degraded mode must not
       // take down the worker that is keeping the service answering.
@@ -398,7 +408,7 @@ void InferenceServer::close_request(Request& request,
     --pending_;
   }
   pending_cv_.notify_all();
-  if (error != nullptr) request.promise.set_exception(std::move(error));
+  if (error != nullptr) request.done({}, std::move(error));
 }
 
 void InferenceServer::process_inline() {
@@ -407,15 +417,15 @@ void InferenceServer::process_inline() {
     try {
       process_batch(replica, fill_batch(std::move(*first)));
     } catch (const WorkerFault&) {
-      // Inline mode has no thread to restart: the batch's futures are
+      // Inline mode has no thread to restart: the batch's requests are
       // failed and the fault is counted; keep consuming.
     }
   }
 }
 
 void InferenceServer::drain() {
-  LockGuard lifecycle(lifecycle_mutex_);
-  if (stopped_) return;
+  // Stop intake and finish the accepted requests before taking the
+  // lifecycle lock: no request resolves under it (DESIGN.md §12).
   accepting_.store(false, std::memory_order_release);
   if (config_.workers == 0) {
     // No worker threads: consume on this thread until every accepted
@@ -435,6 +445,8 @@ void InferenceServer::drain() {
       pending_cv_.wait(lock);
     }
   }
+  LockGuard lifecycle(lifecycle_mutex_);
+  if (stopped_) return;
   queue_.close();
   stop_supervisor();
   workers_.join();
@@ -442,23 +454,27 @@ void InferenceServer::drain() {
 }
 
 void InferenceServer::shutdown() {
-  LockGuard lifecycle(lifecycle_mutex_);
-  if (stopped_) return;
-  accepting_.store(false, std::memory_order_release);
-  // Stop the supervisor first: a worker that faults during teardown is not
-  // replaced (the queue is about to be emptied, so there is no queued work
-  // a replacement could rescue).
-  stop_supervisor();
-  std::vector<Request> leftover = queue_.close_and_drain();
+  std::vector<Request> leftover;
+  {
+    LockGuard lifecycle(lifecycle_mutex_);
+    if (stopped_) return;
+    accepting_.store(false, std::memory_order_release);
+    // Stop the supervisor first: a worker that faults during teardown is
+    // not replaced (the queue is about to be emptied, so there is no queued
+    // work a replacement could rescue).
+    stop_supervisor();
+    leftover = queue_.close_and_drain();
+    // Workers finish their in-flight batch, see the closed-and-empty
+    // queue, and exit; join() then waits for exactly that.
+    workers_.join();
+    stopped_ = true;
+  }
+  // The leftovers resolve after the lifecycle lock is released.
   const std::exception_ptr stopped = std::make_exception_ptr(
       ServerStoppedError("server shut down before the request was dispatched"));
   for (Request& request : leftover) {
     close_request(request, obs::Recorder::Outcome::kCancelled, stopped);
   }
-  // Workers finish their in-flight batch, see the closed-and-empty queue,
-  // and exit; join() then waits for exactly that.
-  workers_.join();
-  stopped_ = true;
 }
 
 ServerStats InferenceServer::stats() const {

@@ -6,7 +6,7 @@
 //
 //   client threads ──submit()──▶ BoundedQueue ──▶ worker pool (ThreadPool)
 //        ▲                        (capacity +        each worker: Replica
-//        └── std::future ◀────── backpressure)       ├─ micro-batcher
+//        └── done callback ◀──── backpressure)       ├─ micro-batcher
 //                                                    ├─ deadline scrub
 //                                  supervisor ──┐    └─ PlanExecutor
 //                                  (restarts    │         │ faults
@@ -20,13 +20,13 @@
 //   fails construction with plan::TraceError. The clip geometry is the
 //   one the model's ModelConfig fixes.
 // * submit() converts nothing and trains nothing: it checks the clip's
-//   geometry (a mismatch fails only that request's future with
+//   geometry (a mismatch fails only that request with
 //   std::invalid_argument, before it reaches the queue), enqueues the clip
-//   and hands back a std::future<ExtractionResult>. Overflow behaviour is the
-//   queue's OverflowPolicy (block / reject / shed-oldest). An optional
-//   per-request deadline bounds how long the request may wait: the batcher
-//   scrubs already-expired requests (failing their futures with
-//   DeadlineExceededError) so doomed work never occupies a batch slot.
+//   and resolves it through one completion callback (or a future set by
+//   one). Overflow behaviour is the queue's OverflowPolicy (block / reject /
+//   shed-oldest). An optional per-request deadline bounds how long the
+//   request may wait: the batcher scrubs already-expired requests (failing
+//   them with DeadlineExceededError) so doomed work never occupies a slot.
 // * Each worker owns a Replica — a handle onto the *shared, frozen* model
 //   weights. Inference is a const traversal of those weights; the server
 //   refuses models left in training mode, where dropout would mutate the
@@ -37,7 +37,7 @@
 //   through its PlanExecutor: one plan run per micro-batch, in an arena
 //   reserved for max_batch when the worker starts.
 // * Worker supervision: an exception thrown out of the plan run fails only
-//   the in-flight batch's futures (with the captured exception), increments
+//   the in-flight batch's requests (with the captured exception), increments
 //   ServerStats::worker_faults, and kills that worker thread; a supervisor
 //   thread restarts it so capacity recovers. K consecutive faults — or
 //   sustained queue saturation — trip the CircuitBreaker into degraded
@@ -87,6 +87,11 @@ struct CompletionInfo {
   bool degraded = false;
 };
 
+/// A request's completion: the answer and a null `error`, or an empty
+/// result and the error that failed it (contract: DESIGN.md §8).
+using DoneCallback =
+    std::function<void(core::ExtractionResult result, std::exception_ptr error)>;
+
 struct ServerConfig {
   /// Worker (consumer) threads. 0 is a deterministic test/debug mode: no
   /// threads are spawned and queued requests are processed inline by
@@ -135,12 +140,12 @@ struct ServerConfig {
 
   /// Completion sink: invoked once per *successfully* answered request
   /// (primary or degraded), on the worker thread, just before the request's
-  /// future resolves. Failed requests (faults, deadlines, sheds, shutdown)
+  /// callback runs. Failed requests (faults, deadlines, sheds, shutdown)
   /// are not reported — the sink sees exactly the results clients got.
   /// Called concurrently from every worker, so it must be thread-safe; keep
   /// it cheap (a queue push — see index::IndexIngestor::sink()), because it
   /// runs on the serving path. Exceptions it throws are swallowed: a broken
-  /// sink must not convert a successful extraction into a failed future.
+  /// sink must not convert a successful extraction into a failed request.
   std::function<void(const CompletionInfo&)> on_result;
 };
 
@@ -163,14 +168,19 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Enqueue one clip for extraction. Thread-safe. The future resolves with
-  /// the result (primary or, in degraded mode, fallback), or with
-  /// std::invalid_argument if the clip's geometry is not the model's, or
-  /// with the model's exception if inference failed, or with
-  /// DeadlineExceededError if `deadline` passed before dispatch, or
+  /// Enqueue one clip for extraction. Thread-safe. `done` (which must not
+  /// throw) runs exactly once, with no server lock held and possibly before
+  /// submit() returns, with the result (primary or, in degraded mode,
+  /// fallback), or with std::invalid_argument if the clip's geometry is not
+  /// the model's, or with the model's exception if inference failed, or
+  /// with DeadlineExceededError if `deadline` passed before dispatch, or
   /// QueueFullError if this request was later shed, or ServerStoppedError
-  /// if shutdown() discarded it. Throws QueueFullError (kReject, queue full) or ServerStoppedError
-  /// (after drain()/shutdown()).
+  /// if shutdown() discarded it — unless submit() throws QueueFullError
+  /// (kReject, queue full) or ServerStoppedError (after drain()/shutdown()),
+  /// which accepts nothing.
+  void submit(sim::VideoClip clip, std::optional<Clock::time_point> deadline,
+              DoneCallback done);
+  /// The same, with a future in place of the callback.
   std::future<core::ExtractionResult> submit(
       sim::VideoClip clip,
       std::optional<Clock::time_point> deadline = std::nullopt);
@@ -211,7 +221,7 @@ class InferenceServer {
     sim::VideoClip clip;
     /// Admission counter value (see CompletionInfo::sequence).
     std::uint64_t sequence = 0;
-    std::promise<core::ExtractionResult> promise;
+    DoneCallback done;
     std::chrono::steady_clock::time_point submit_time;
     std::optional<Clock::time_point> deadline;
     /// Trace context carried to the worker so the batch's spans
@@ -252,8 +262,8 @@ class InferenceServer {
   /// return an empty batch if everything it saw had expired.
   std::vector<Request> fill_batch(Request first);
   /// Dispatch a micro-batch through the replica (or the fallback when the
-  /// circuit is open) and resolve every request's promise. Throws
-  /// WorkerFault after failing the batch's futures if the plan run threw.
+  /// circuit is open) and resolve every request. Throws WorkerFault after
+  /// failing the batch's requests if the plan run threw.
   void process_batch(Replica& replica, std::vector<Request> requests);
   void process_degraded(std::vector<Request>& requests);
   /// If the request's deadline has passed, fail it with
@@ -268,9 +278,9 @@ class InferenceServer {
   /// obs::Recorder::finish (which derives every serve.* outcome count,
   /// obs.e2e_ms and the SLO event), feeds the exact latency sample store
   /// from the e2e value finish returns, and releases the pending slot — all
-  /// before the future resolves. A non-null `error` then resolves the
-  /// promise with it; without one the caller resolves the promise itself
-  /// (or throws from submit() instead of returning the future).
+  /// before the request resolves. A non-null `error` then resolves the
+  /// request with it; without one the caller resolves it itself (or throws
+  /// from submit() instead of accepting it).
   void close_request(Request& request, obs::Recorder::Outcome outcome,
                      std::exception_ptr error = nullptr)
       TSDX_EXCLUDES(pending_mutex_);
@@ -293,8 +303,8 @@ class InferenceServer {
   std::atomic<std::uint64_t> next_sequence_{0};
 
   /// Serializes drain()/shutdown(). Rank kServerLifecycle: the outermost
-  /// lock of the server — teardown holds it while walking the pending /
-  /// queue / supervisor locks below it (DESIGN.md §12).
+  /// lock of the server — teardown holds it while walking the queue /
+  /// supervisor locks below it; no request resolves under it (§12).
   Mutex lifecycle_mutex_{"serve.lifecycle",
                          lockorder::Rank::kServerLifecycle};
   bool stopped_ TSDX_GUARDED_BY(lifecycle_mutex_) = false;

@@ -525,7 +525,6 @@ TEST(ChaosTest, RouterLosesNoRequestsWhenReplicaDiesMidStream) {
   // replica as a last resort — a legitimate shed, but not what this test
   // pins. Capacity is not under test; losing zero requests is.
   rc.server.queue_capacity = 64;
-  rc.relay_threads = 3;
   rc.max_attempts = 4;
   rc.retry_budget_floor = 32.0;  // failover capacity is not under test here
   rc.down_after_failures = 2;

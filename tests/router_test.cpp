@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -101,6 +102,15 @@ serve::RouterConfig sequential_router(std::size_t replicas) {
   cfg.server.queue_capacity = 8;
   cfg.metrics = std::make_shared<obs::Registry>();
   return cfg;
+}
+
+/// Poll `counter` until it reads `value` (5 s cap); false on timeout.
+bool await_count(obs::Counter& counter, std::uint64_t value) {
+  const auto give_up = Clock::now() + std::chrono::seconds(5);
+  while (counter.value() < value && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return counter.value() >= value;
 }
 
 /// Inline-mode fleet: workers = 0, so nothing resolves until drain() — the
@@ -353,6 +363,78 @@ TEST(RouterTest, WedgedReplicaIsAbandonedAtTheDeadline) {
   auto& registry = router.metrics_registry();
   EXPECT_EQ(registry.counter("route.replica_failures.0").value(), 1u);
   EXPECT_EQ(router.stats().failed, 1u);
+}
+
+// A clip of the wrong geometry is the caller's error, not a shard fault:
+// each fails alone with std::invalid_argument, unretried and without a
+// retry-storm anomaly, and every replica stays UP — so the next well-formed
+// clip is answered by the fleet.
+TEST(RouterTest, MalformedClipFailsAloneAndLeavesTheFleetUp) {
+  serve::Router router(make_frozen_extractor(), sequential_router(2));
+  const auto clips = make_clips(1);
+  obs::Counter& storms =
+      obs::Registry::global().counter("slo.anomalies.retry_storm");
+  const std::uint64_t storms_before = storms.value();
+
+  for (int i = 0; i < 2; ++i) {
+    sim::VideoClip malformed = clips[0];
+    malformed.data.pop_back();  // one value short
+    auto future = router.submit(std::move(malformed));
+    EXPECT_THROW(future.get(), std::invalid_argument);
+  }
+  EXPECT_EQ(router.replica_state(0), serve::ReplicaState::kUp);
+  EXPECT_EQ(router.replica_state(1), serve::ReplicaState::kUp);
+  EXPECT_FALSE(is_degraded(router.submit(clips[0]).get()));
+  router.drain();
+
+  const serve::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.retries, 0u);
+  auto& registry = router.metrics_registry();
+  EXPECT_EQ(registry.counter("route.replica_failures.0").value(), 0u);
+  EXPECT_EQ(registry.counter("route.replica_failures.1").value(), 0u);
+  EXPECT_EQ(storms.value(), storms_before);
+}
+
+// A request backing off after a replica fault holds no thread: another
+// request, answered by the healthy replica meanwhile, resolves at once —
+// not after the first request's backoff. A and B fail on replica0 (which
+// then goes DOWN) and wait out 200-400 ms backoffs; C goes to replica1.
+TEST(RouterTest, HealthyAnswerDoesNotWaitBehindAnotherRequestsBackoff) {
+  serve::RouterConfig cfg = sequential_router(2);
+  cfg.retry_backoff = std::chrono::microseconds(400000);
+  cfg.retry_backoff_cap = std::chrono::microseconds(400000);
+  cfg.down_after_failures = 2;
+  cfg.heal_backoff = std::chrono::seconds(30);  // no passive heal mid-test
+  serve::Router router(make_frozen_extractor(), cfg);
+  const auto clips = make_clips(1);
+  obs::Counter& failures =
+      router.metrics_registry().counter("route.replica_failures.0");
+
+  fault::FaultPlan plan;
+  plan.replica_plans = {{/*domain=*/0, /*kill_from_call=*/1, {}, {}}};
+  fault::ScopedFaultPlan armed(plan);
+
+  // Both replicas idle: A, then B, go to replica0 by the index tie-break.
+  auto a = router.submit(clips[0]);
+  ASSERT_TRUE(await_count(failures, 1));
+  auto b = router.submit(clips[0]);
+  ASSERT_TRUE(await_count(failures, 2));
+  ASSERT_EQ(router.replica_state(0), serve::ReplicaState::kDown);
+
+  auto c = router.submit(clips[0]);
+  EXPECT_FALSE(is_degraded(c.get()));
+  EXPECT_NE(a.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+      << "C resolved only after A's backoff";
+
+  EXPECT_NO_THROW(a.get());
+  EXPECT_NO_THROW(b.get());
+  router.drain();
+  const serve::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.retries, 2u);
+  EXPECT_EQ(stats.failovers, 2u);
 }
 
 // Mid-stream replica death under concurrent load: replica0 hard-dies after

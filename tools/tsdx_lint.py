@@ -16,8 +16,8 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     src/serve/ and the intra-op pool implementation
                     (src/tensor/kernels/parallel_for.{hpp,cpp}) — every
                     thread in a tsdx process must go through the serve layer
-                    (ThreadPool / InferenceServer / the Router's relay and
-                    probe pools, src/serve/router.cpp) or tsdx::par, which
+                    (ThreadPool / InferenceServer / the Router's timer
+                    thread, src/serve/router.cpp) or tsdx::par, which
                     own spawning and deterministic joining. Inside src/tensor/
                     specifically, compute code must use tsdx::par so results
                     stay deterministic at any thread count. Static members
@@ -106,6 +106,16 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     ScenarioExtractor — the dynamic forward stays for
                     training and as the test oracle. And the deleted
                     `use_compiled_plan` switch appears nowhere in the code,
+                    tests, benches, examples, tools or CI (this file
+                    excepted).
+  router-nonblocking  The Router holds no thread per request: a replica
+                    answers through the request's completion callback and
+                    the router's one timer thread serves retries after
+                    their backoff, deadline watchdogs and probe ticks. So
+                    src/serve/router.{hpp,cpp} may not sleep (sleep_for /
+                    sleep_until) or wait on a future (future_status), and
+                    the deleted relay-pool knobs `relay_threads` /
+                    `relay_queue_capacity` appear nowhere in the code,
                     tests, benches, examples, tools or CI (this file
                     excepted).
 
@@ -604,6 +614,34 @@ class Linter:
                                    "`use_compiled_plan` no longer exists — "
                                    "servers always run compiled plans")
 
+    # ---- router-nonblocking ---------------------------------------------------
+
+    def check_router_nonblocking(self) -> None:
+        blocking = re.compile(r"\b(?:sleep_for|sleep_until|future_status)\b")
+        for path in sorted((self.root / "src" / "serve").glob("router.*")):
+            clean = strip_comments_and_strings(path.read_text())
+            for lineno, line in enumerate(clean.splitlines(), 1):
+                if blocking.search(line):
+                    self.error(path, lineno, "router-nonblocking",
+                               "the Router blocks no thread on a request — "
+                               "react in the completion callback or post a "
+                               "timer to the router's heap")
+        knob = re.compile(r"\brelay_(?:threads|queue_capacity)\b")
+        this_file = Path(__file__).resolve()
+        for sub in ("src", "tests", "bench", "examples", "tools", ".github"):
+            for path in sorted((self.root / sub).rglob("*")):
+                if path.suffix not in (".hpp", ".cpp", ".inc", ".py",
+                                       ".yml", ".txt"):
+                    continue
+                if path.resolve() == this_file:
+                    continue
+                for lineno, line in enumerate(
+                        path.read_text().splitlines(), 1):
+                    if knob.search(line):
+                        self.error(path, lineno, "router-nonblocking",
+                                   "the Router's relay pool and its knobs "
+                                   "no longer exist")
+
     # ---- driver -------------------------------------------------------------
 
     def run(self) -> int:
@@ -621,6 +659,7 @@ class Linter:
         self.check_rows_libm()
         self.check_terminal_sink()
         self.check_serve_plan_only()
+        self.check_router_nonblocking()
         if self.errors:
             for e in self.errors:
                 print(e)
