@@ -6,10 +6,14 @@
 //
 //   1. two tenants with different fair-share weights stream requests
 //      through the healthy fleet;
-//   2. replica 1 is hard-killed mid-stream — traffic fails over to its
+//   2. replica 1 is hard-killed mid-stream (a fault plan fails every
+//      dispatch it takes from then on) — its requests are retried on its
 //      siblings, no request is lost;
 //   3. the replica is revived and rejoins the rotation;
 //   4. the route.* metrics surface is dumped as JSON.
+//
+// The demo exits 1 unless phase 2 retried and failed over at least once and
+// failed nothing.
 //
 // Flags:
 //   --smoke   smaller model and request counts, for CI (seconds).
@@ -25,6 +29,7 @@
 #include "obs/metrics.hpp"
 #include "sdl/description.hpp"
 #include "serve/fallback.hpp"
+#include "serve/fault/inject.hpp"
 #include "serve/router.hpp"
 #include "serve/thread_pool.hpp"
 #include "sim/clipgen.hpp"
@@ -33,6 +38,7 @@ namespace core = tsdx::core;
 namespace obs = tsdx::obs;
 namespace sdl = tsdx::sdl;
 namespace serve = tsdx::serve;
+namespace fault = tsdx::serve::fault;
 namespace sim = tsdx::sim;
 
 namespace {
@@ -162,9 +168,29 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n== phase 2: replica 1 killed; traffic fails over ==\n");
-  router.kill_replica(1);
-  stream(router, clips, tenants);
-  print_fleet(router);
+  const serve::RouterStats before_kill = router.stats();
+  serve::RouterStats after_kill;
+  {
+    // Hard-down from replica 1's next dispatch on (arming restarts the
+    // per-domain dispatch count, so the next one is #1): requests already
+    // routed to it fail there and are retried on its siblings.
+    fault::ReplicaPlan kill;
+    kill.domain = 1;
+    kill.kill_from_call = 1;
+    fault::FaultPlan plan;
+    plan.replica_plans.push_back(kill);
+    fault::ScopedFaultPlan killed(plan);
+    stream(router, clips, tenants);
+    print_fleet(router);
+    after_kill = router.stats();
+  }
+  const std::uint64_t retries = after_kill.retries - before_kill.retries;
+  const std::uint64_t failovers = after_kill.failovers - before_kill.failovers;
+  const std::uint64_t failed = after_kill.failed - before_kill.failed;
+  std::printf("  phase 2: retries=%llu failovers=%llu failed=%llu\n",
+              static_cast<unsigned long long>(retries),
+              static_cast<unsigned long long>(failovers),
+              static_cast<unsigned long long>(failed));
 
   std::printf("\n== phase 3: replica 1 revived ==\n");
   router.revive_replica(1);
@@ -175,5 +201,14 @@ int main(int argc, char** argv) {
 
   std::printf("\n== route.* metrics (registry JSON) ==\n%s\n",
               router.metrics_json().c_str());
+  if (retries == 0 || failovers == 0 || failed != 0) {
+    std::fprintf(stderr,
+                 "route_demo: phase 2 did not fail over cleanly (retries=%llu "
+                 "failovers=%llu failed=%llu)\n",
+                 static_cast<unsigned long long>(retries),
+                 static_cast<unsigned long long>(failovers),
+                 static_cast<unsigned long long>(failed));
+    return 1;
+  }
   return 0;
 }

@@ -8,7 +8,7 @@
 #include <cstdlib>
 
 #include "core/extractor.hpp"
-#include "sdl/embedding.hpp"
+#include "index/flat.hpp"
 #include "sdl/serialization.hpp"
 
 using namespace tsdx;
@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
               library_size);
   const data::Dataset library =
       data::Dataset::synthesize(render_cfg, library_size, 999);
-  sdl::ScenarioIndex index;
+  // The clip's library position is its document id.
+  index::FlatIndex library_index;
   for (std::size_t i = 0; i < library.size(); ++i) {
-    const auto result = extractor.extract(library[i].video);
-    index.add("clip_" + std::to_string(i), result.description);
+    library_index.insert(i, extractor.extract(library[i].video).description);
   }
 
   // 3. Queries arrive as structured descriptions (or parsed from JSON).
@@ -65,14 +65,12 @@ int main(int argc, char** argv) {
 
   std::printf("\nQuery: %s\n\nTop matches:\n",
               sdl::to_sentence(*query).c_str());
-  for (const auto& hit : index.query(*query, 5)) {
+  for (const index::Hit& hit : library_index.search({*query, {}, 5})) {
     // Show the *ground-truth* sentence of the hit so the reader can judge
     // retrieval quality (the index itself only saw extracted descriptions).
-    const std::size_t idx =
-        static_cast<std::size_t>(std::atoi(hit.id.c_str() + 5));
-    std::printf("  %.3f %s\n        truth: %s\n", hit.similarity,
-                hit.id.c_str(),
-                sdl::to_sentence(library[idx].description).c_str());
+    std::printf("  %.3f clip_%llu\n        truth: %s\n", hit.score,
+                static_cast<unsigned long long>(hit.id),
+                sdl::to_sentence(library[hit.id].description).c_str());
   }
   return 0;
 }

@@ -57,7 +57,6 @@ enum class Rank : std::uint32_t {
                           ///< request resolves under it
   kQueue = 20,            ///< BoundedQueue request queue
   kServerPending = 30,    ///< InferenceServer accepted-request count
-  kSupervisor = 40,       ///< InferenceServer dead-worker mailbox
   kPlan = 43,             ///< tsdx::plan compiled-plan cache; below the par
                           ///< ranks because compilation traces a forward that
                           ///< fans out through tsdx::par while holding it

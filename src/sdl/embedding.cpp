@@ -60,28 +60,4 @@ float scenario_similarity(const ScenarioDescription& a,
   return cosine_similarity(scenario_to_vector(a, w), scenario_to_vector(b, w));
 }
 
-std::size_t ScenarioIndex::add(std::string id, const ScenarioDescription& d) {
-  entries_.push_back(Entry{std::move(id), d, scenario_to_vector(d, weights_)});
-  return entries_.size() - 1;
-}
-
-std::vector<ScenarioIndex::Hit> ScenarioIndex::query(
-    const ScenarioDescription& q, std::size_t k) const {
-  const std::vector<float> qv = scenario_to_vector(q, weights_);
-  std::vector<std::pair<float, std::size_t>> scored;
-  scored.reserve(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    scored.emplace_back(cosine_similarity(qv, entries_[i].vec), i);
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<Hit> hits;
-  const std::size_t n = std::min(k, scored.size());
-  hits.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    hits.push_back(Hit{entries_[scored[i].second].id, scored[i].first});
-  }
-  return hits;
-}
-
 }  // namespace tsdx::sdl

@@ -5,12 +5,11 @@
 // importance weight (actions matter more than weather for "is this the same
 // scenario?"), plus a multi-hot block for background-actor types. Cosine
 // similarity on these vectors gives a semantically meaningful scenario
-// distance, which powers the retrieval experiment (R-F3) and the
-// scenario-search example.
+// distance: tsdx::index ranks stored scenarios by it (the scenario-search
+// example, the retrieval experiment R-F3).
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "sdl/description.hpp"
@@ -47,38 +46,5 @@ float cosine_similarity(const std::vector<float>& a,
 float scenario_similarity(const ScenarioDescription& a,
                           const ScenarioDescription& b,
                           const EmbeddingWeights& w = {});
-
-/// In-memory scenario search index: id -> (description, vector).
-class ScenarioIndex {
- public:
-  explicit ScenarioIndex(EmbeddingWeights weights = {})
-      : weights_(weights) {}
-
-  /// Insert a description under a caller-chosen id; returns its slot.
-  std::size_t add(std::string id, const ScenarioDescription& d);
-
-  std::size_t size() const { return entries_.size(); }
-
-  struct Hit {
-    std::string id;
-    float similarity;
-  };
-
-  /// Top-k most similar stored scenarios (ties broken by insertion order).
-  std::vector<Hit> query(const ScenarioDescription& q, std::size_t k) const;
-
-  const ScenarioDescription& description(std::size_t slot) const {
-    return entries_.at(slot).description;
-  }
-
- private:
-  struct Entry {
-    std::string id;
-    ScenarioDescription description;
-    std::vector<float> vec;
-  };
-  EmbeddingWeights weights_;
-  std::vector<Entry> entries_;
-};
 
 }  // namespace tsdx::sdl

@@ -4,7 +4,7 @@
 // don't work. This header gives tests and benches a way to *schedule* the
 // accidents: a seeded FaultPlan names exactly which extract_batch dispatch
 // throws, which dispatch stalls, and whether the next checkpoint save gets
-// one byte flipped — so `chaos_test` can drive worker supervision, the
+// one byte flipped — so `chaos_test` can drive worker fault recovery, the
 // circuit breaker, and checkpoint CRC rejection down a reproducible script
 // (same plan, same failures, same recovery, every run, under TSan).
 //

@@ -86,7 +86,6 @@ InferenceServer::InferenceServer(
     }
     workers_.spawn(config_.workers,
                    [this](std::size_t index) { worker_loop(index); });
-    supervisor_.spawn(1, [this](std::size_t) { supervisor_loop(); });
   }
 }
 
@@ -202,49 +201,8 @@ InferenceServer::Replica InferenceServer::make_replica(
 void InferenceServer::worker_loop(std::size_t worker_index) {
   Replica replica = make_replica(worker_index);
   while (std::optional<Request> first = queue_.pop()) {
-    try {
-      process_batch(replica, fill_batch(std::move(*first)));
-    } catch (const WorkerFault&) {
-      // The batch's requests are already failed; this thread is done. The
-      // supervisor spawns a replacement with the same index.
-      report_worker_death(worker_index);
-      return;
-    }
+    process_batch(replica, fill_batch(std::move(*first)));
   }
-}
-
-void InferenceServer::supervisor_loop() {
-  while (true) {
-    std::vector<std::size_t> dead;
-    {
-      UniqueLock lock(supervisor_mutex_);
-      while (!supervisor_stop_ && dead_workers_.empty()) {
-        supervisor_cv_.wait(lock);
-      }
-      if (supervisor_stop_) return;
-      dead.swap(dead_workers_);
-    }
-    for (const std::size_t index : dead) {
-      workers_.spawn_one([this, index] { worker_loop(index); });
-    }
-  }
-}
-
-void InferenceServer::report_worker_death(std::size_t worker_index) {
-  {
-    LockGuard lock(supervisor_mutex_);
-    dead_workers_.push_back(worker_index);
-  }
-  supervisor_cv_.notify_one();
-}
-
-void InferenceServer::stop_supervisor() {
-  {
-    LockGuard lock(supervisor_mutex_);
-    supervisor_stop_ = true;
-  }
-  supervisor_cv_.notify_all();
-  supervisor_.join();
 }
 
 std::vector<InferenceServer::Request> InferenceServer::fill_batch(
@@ -337,15 +295,15 @@ void InferenceServer::process_batch(Replica& replica,
     }
   } catch (...) {
     // Worker fault: every request still in flight on this worker fails with
-    // the captured exception. The worker thread then dies and is restarted
-    // by the supervisor (WorkerFault signal).
+    // the captured exception, and the worker serves on with the same
+    // executor — its arena is scratch that every plan run writes before it
+    // reads, so a run cut short leaves nothing the next run depends on.
     const std::exception_ptr error = std::current_exception();
     stats_.on_worker_fault();
     circuit_.on_fault(Clock::now());
     for (std::size_t i = resolved; i < live.size(); ++i) {
       close_request(live[i], obs::Recorder::Outcome::kFailed, error);
     }
-    throw WorkerFault{};
   }
 }
 
@@ -414,12 +372,7 @@ void InferenceServer::close_request(Request& request,
 void InferenceServer::process_inline() {
   Replica replica = make_replica(/*worker_index=*/0);
   while (std::optional<Request> first = queue_.try_pop()) {
-    try {
-      process_batch(replica, fill_batch(std::move(*first)));
-    } catch (const WorkerFault&) {
-      // Inline mode has no thread to restart: the batch's requests are
-      // failed and the fault is counted; keep consuming.
-    }
+    process_batch(replica, fill_batch(std::move(*first)));
   }
 }
 
@@ -438,8 +391,8 @@ void InferenceServer::drain() {
       pending_cv_.wait_for(lock, std::chrono::milliseconds(1));
     }
   } else {
-    // Workers (restarted by the supervisor if they fault) finish every
-    // accepted request before we tear anything down.
+    // Workers (which serve on past a fault) finish every accepted request
+    // before we tear anything down.
     UniqueLock lock(pending_mutex_);
     while (pending_ != 0) {
       pending_cv_.wait(lock);
@@ -448,7 +401,6 @@ void InferenceServer::drain() {
   LockGuard lifecycle(lifecycle_mutex_);
   if (stopped_) return;
   queue_.close();
-  stop_supervisor();
   workers_.join();
   stopped_ = true;
 }
@@ -459,10 +411,6 @@ void InferenceServer::shutdown() {
     LockGuard lifecycle(lifecycle_mutex_);
     if (stopped_) return;
     accepting_.store(false, std::memory_order_release);
-    // Stop the supervisor first: a worker that faults during teardown is
-    // not replaced (the queue is about to be emptied, so there is no queued
-    // work a replacement could rescue).
-    stop_supervisor();
     leftover = queue_.close_and_drain();
     // Workers finish their in-flight batch, see the closed-and-empty
     // queue, and exit; join() then waits for exactly that.

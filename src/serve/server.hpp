@@ -8,10 +8,10 @@
 //        ▲                        (capacity +        each worker: Replica
 //        └── done callback ◀──── backpressure)       ├─ micro-batcher
 //                                                    ├─ deadline scrub
-//                                  supervisor ──┐    └─ PlanExecutor
-//                                  (restarts    │         │ faults
-//                                   dead ◀──────┴─────────┘
-//                                   workers)   CircuitBreaker ─▶ fallback
+//                                                    └─ PlanExecutor
+//                                                         │ faults
+//                                                         ▼
+//                                      fallback ◀─ CircuitBreaker
 //
 // * The server runs compiled plans only (tsdx::plan). The constructor
 //   compiles the model through the process-wide plan::PlanCache — once per
@@ -36,10 +36,11 @@
 //   `batch_window` has elapsed — whichever comes first — and runs the batch
 //   through its PlanExecutor: one plan run per micro-batch, in an arena
 //   reserved for max_batch when the worker starts.
-// * Worker supervision: an exception thrown out of the plan run fails only
-//   the in-flight batch's requests (with the captured exception), increments
-//   ServerStats::worker_faults, and kills that worker thread; a supervisor
-//   thread restarts it so capacity recovers. K consecutive faults — or
+// * In-place recovery: an exception thrown out of the plan run fails only
+//   the in-flight batch's requests (with the captured exception) and
+//   increments ServerStats::worker_faults; the same worker thread then pops
+//   the next request with the same PlanExecutor, whose arena is scratch
+//   every run writes before it reads. K consecutive faults — or
 //   sustained queue saturation — trip the CircuitBreaker into degraded
 //   mode, routing requests to the configured FallbackExtractor until a
 //   cooldown + successful probe heals it (DESIGN.md §9 has the state
@@ -107,7 +108,7 @@ struct ServerConfig {
   OverflowPolicy overflow = OverflowPolicy::kBlock;
 
   /// Degraded-mode answer source. When null, the circuit breaker never
-  /// trips: worker faults still fail their batch and restart the worker,
+  /// trips: worker faults still fail their batch and the worker serves on,
   /// but there is nothing to route around the model to.
   std::shared_ptr<const FallbackExtractor> fallback;
   /// Trip/heal thresholds for the circuit breaker (see circuit.hpp).
@@ -154,10 +155,10 @@ class InferenceServer {
   using Clock = std::chrono::steady_clock;
 
   /// Compiles the model's plan (or finds it in plan::PlanCache::global())
-  /// and starts the worker pool (plus a supervisor thread that restarts
-  /// workers killed by faults). The extractor's model must be frozen
-  /// (`model().set_training(false)`) — a model in training mode would run
-  /// dropout, whose weight masks draw from the shared training Rng. Throws
+  /// and starts the worker pool: `workers` threads, which a fault does not
+  /// end (see "In-place recovery" above). The extractor's model must be
+  /// frozen (`model().set_training(false)`) — a model in training mode would
+  /// run dropout, whose weight masks draw from the shared training Rng. Throws
   /// plan::TraceError when the model does not compile.
   InferenceServer(std::shared_ptr<const core::ScenarioExtractor> extractor,
                   ServerConfig config);
@@ -237,11 +238,6 @@ class InferenceServer {
     obs::Recorder::Record rec;
   };
 
-  /// Internal signal: a batch's plan run threw. The worker's loop
-  /// catches it, reports to the supervisor, and lets the thread die;
-  /// process_inline() catches it and keeps consuming.
-  struct WorkerFault {};
-
   /// Per-worker execution state: the worker's PlanExecutor (its own arena,
   /// reserved for max_batch) over the server's shared plan and extractor.
   struct Replica {
@@ -252,18 +248,14 @@ class InferenceServer {
   Replica make_replica(std::size_t worker_index) const;
 
   void worker_loop(std::size_t worker_index);
-  /// Restart-on-fault loop: waits for dead-worker notices and respawns.
-  void supervisor_loop() TSDX_EXCLUDES(supervisor_mutex_);
-  void report_worker_death(std::size_t worker_index)
-      TSDX_EXCLUDES(supervisor_mutex_);
-  void stop_supervisor() TSDX_EXCLUDES(supervisor_mutex_);
   /// Assemble one micro-batch starting from `first` (max_batch / batch
   /// window, whichever first), scrubbing expired requests as it goes. May
   /// return an empty batch if everything it saw had expired.
   std::vector<Request> fill_batch(Request first);
   /// Dispatch a micro-batch through the replica (or the fallback when the
-  /// circuit is open) and resolve every request. Throws WorkerFault after
-  /// failing the batch's requests if the plan run threw.
+  /// circuit is open) and resolve every request. A plan run that throws
+  /// fails the batch's unresolved requests with its exception and counts a
+  /// worker fault; the exception goes no further, so the replica serves on.
   void process_batch(Replica& replica, std::vector<Request> requests);
   void process_degraded(std::vector<Request>& requests);
   /// If the request's deadline has passed, fail it with
@@ -288,33 +280,25 @@ class InferenceServer {
 
   const std::shared_ptr<const core::ScenarioExtractor> extractor_;
   const ServerConfig config_;
-  /// The model's compiled plan, shared by every worker (and by restarted
-  /// workers) and by every other server of the same model.
+  /// The model's compiled plan, shared by every worker and by every other
+  /// server of the same model.
   std::shared_ptr<const plan::PolyPlan> plan_;
   const std::shared_ptr<obs::Registry> registry_;  // never null
   BoundedQueue<Request> queue_;
   StatsCollector stats_;
   CircuitBreaker circuit_;
   ThreadPool workers_;
-  ThreadPool supervisor_;
 
   std::atomic<bool> accepting_{true};
   /// Mints Request::sequence at submit() (admission order).
   std::atomic<std::uint64_t> next_sequence_{0};
 
   /// Serializes drain()/shutdown(). Rank kServerLifecycle: the outermost
-  /// lock of the server — teardown holds it while walking the queue /
-  /// supervisor locks below it; no request resolves under it (§12).
+  /// lock of the server — teardown holds it while taking the queue and
+  /// thread-pool locks below it; no request resolves under it (§12).
   Mutex lifecycle_mutex_{"serve.lifecycle",
                          lockorder::Rank::kServerLifecycle};
   bool stopped_ TSDX_GUARDED_BY(lifecycle_mutex_) = false;
-
-  // Dead-worker mailbox: workers push their index on a fault, the
-  // supervisor pops and respawns (unless stopping).
-  Mutex supervisor_mutex_{"serve.supervisor", lockorder::Rank::kSupervisor};
-  CondVar supervisor_cv_;
-  std::vector<std::size_t> dead_workers_ TSDX_GUARDED_BY(supervisor_mutex_);
-  bool supervisor_stop_ TSDX_GUARDED_BY(supervisor_mutex_) = false;
 
   // Accepted-but-unresolved request count; drain() waits for it to hit 0.
   Mutex pending_mutex_{"serve.pending", lockorder::Rank::kServerPending};

@@ -1,7 +1,5 @@
 #include "serve/thread_pool.hpp"
 
-#include <utility>
-
 #include "core/check.hpp"
 
 namespace tsdx::serve {
@@ -18,32 +16,15 @@ void ThreadPool::spawn(std::size_t count, std::function<void(std::size_t)> fn) {
   }
 }
 
-void ThreadPool::spawn_one(std::function<void()> fn) {
-  LockGuard lock(mutex_);
-  threads_.emplace_back(std::move(fn));
-}
-
 void ThreadPool::join() {
-  // Joining happens outside the lock (a joined thread may itself be blocked
-  // on something the lock-holder must release), and loops because a
-  // concurrent spawn_one() may add a thread while we were joining the
-  // previous batch.
-  while (true) {
-    std::vector<std::thread> batch;
-    {
-      LockGuard lock(mutex_);
-      if (threads_.empty()) return;
-      batch.swap(threads_);
-    }
-    for (auto& t : batch) {
-      if (t.joinable()) t.join();
-    }
+  // Joining happens outside the lock: a joined thread may itself be blocked
+  // on something the lock-holder must release.
+  std::vector<std::thread> threads;
+  {
+    LockGuard lock(mutex_);
+    threads.swap(threads_);
   }
-}
-
-std::size_t ThreadPool::size() const {
-  LockGuard lock(mutex_);
-  return threads_.size();
+  for (auto& t : threads) t.join();
 }
 
 void ThreadPool::run(std::size_t count,

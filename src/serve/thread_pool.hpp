@@ -4,9 +4,10 @@
 // rule `raw-thread`).
 //
 // Centralizing thread creation keeps ownership/joining in a single audited
-// spot: every thread in a tsdx process is an InferenceServer worker, its
-// supervisor, a ThreadPool::run() fan-out, or a tsdx::par kernel worker, all
-// of which join deterministically — there are no detached threads anywhere.
+// spot: every thread in a tsdx process is an InferenceServer worker, the
+// Router's timer thread, an IndexIngestor consumer, a ThreadPool::run()
+// fan-out, or a tsdx::par kernel worker, all of which join
+// deterministically — there are no detached threads anywhere.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +19,10 @@
 
 namespace tsdx::serve {
 
-/// A set of named worker threads. Construction is explicit (spawn /
-/// spawn_one), teardown is deterministic (join; the destructor joins as a
-/// safety net). Internally synchronized: the InferenceServer supervisor may
-/// spawn_one() a replacement worker while another thread is in join().
+/// A fixed set of worker threads. Construction is explicit (spawn, once),
+/// teardown is deterministic (join; the destructor joins as a safety net).
+/// The pool never replaces a thread: an InferenceServer worker catches its
+/// own faults and serves on.
 class ThreadPool {
  public:
   ThreadPool() = default;
@@ -35,16 +36,8 @@ class ThreadPool {
   void spawn(std::size_t count, std::function<void(std::size_t)> fn)
       TSDX_EXCLUDES(mutex_);
 
-  /// Launch one additional thread running fn(). Used by the InferenceServer
-  /// supervisor to restart a worker that died on a fault; safe to call
-  /// concurrently with join() (the new thread is picked up by the join loop).
-  void spawn_one(std::function<void()> fn) TSDX_EXCLUDES(mutex_);
-
-  /// Block until every spawned thread — including any spawned concurrently
-  /// with this call — has returned. Idempotent.
+  /// Block until every spawned thread has returned. Idempotent.
   void join() TSDX_EXCLUDES(mutex_);
-
-  std::size_t size() const TSDX_EXCLUDES(mutex_);
 
   /// Spawn-run-join in one call: run fn(i) on `count` concurrent threads and
   /// wait for all of them. This is the sanctioned primitive for producer

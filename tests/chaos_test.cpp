@@ -1,9 +1,9 @@
 // chaos_test.cpp — scripted-failure coverage of the fault-tolerance stack:
-// worker supervision, the circuit breaker + degraded fallback, per-request
-// deadlines, and checkpoint corruption detection. Every failure here is
-// *scheduled* through tsdx::serve::fault (a seeded FaultPlan), so the same
-// crashes happen at the same dispatches on every run — including under the
-// CI ThreadSanitizer job, which runs this binary directly.
+// in-place worker recovery, the circuit breaker + degraded fallback,
+// per-request deadlines, and checkpoint corruption detection. Every failure
+// here is *scheduled* through tsdx::serve::fault (a seeded FaultPlan), so the
+// same crashes happen at the same dispatches on every run — including under
+// the CI ThreadSanitizer job, which runs this binary directly.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -119,13 +120,13 @@ std::vector<float> flat_weights(const nn::Module& module) {
 
 }  // namespace
 
-// ---- worker supervision ---------------------------------------------------------
+// ---- in-place worker recovery ---------------------------------------------------
 
-// An injected fault kills the worker mid-batch: the batch's future must fail
-// with the *injected* error (typed, not swallowed), and the supervisor must
-// restart the worker so the next request completes on the primary model.
-// Without a fallback configured, the circuit never trips.
-TEST(ChaosTest, InjectedFaultFailsBatchAndSupervisorRestartsWorker) {
+// An injected fault fails the worker's batch: the batch's future must fail
+// with the *injected* error (typed, not swallowed), and the worker must serve
+// on so the next request completes on the primary model. Without a fallback
+// configured, the circuit never trips.
+TEST(ChaosTest, InjectedFaultFailsBatchAndWorkerServesOn) {
   auto server = serve::InferenceServer(make_frozen_extractor(),
                                        sequential_config());
   const auto clips = make_clips(2);
@@ -137,7 +138,7 @@ TEST(ChaosTest, InjectedFaultFailsBatchAndSupervisorRestartsWorker) {
   auto doomed = server.submit(clips[0]);
   EXPECT_THROW(doomed.get(), fault::InjectedFaultError);
 
-  // The replacement worker (same index, fresh thread) serves this one.
+  // The same worker, past its fault, serves this one.
   auto healthy = server.submit(clips[1]);
   EXPECT_FALSE(is_degraded(healthy.get()));
   server.drain();
@@ -149,6 +150,49 @@ TEST(ChaosTest, InjectedFaultFailsBatchAndSupervisorRestartsWorker) {
   EXPECT_EQ(stats.degraded_completions, 0u);
   EXPECT_EQ(stats.circuit_trips, 0u);
   EXPECT_EQ(stats.circuit_state, serve::CircuitState::kClosed);
+}
+
+// A fault costs its batch and nothing else: the worker that threw is the
+// worker that answers next, on the executor it faulted in, and its answer
+// is bit-identical to the one it gave before. Sixty-four faults in a row
+// must not change which thread serves.
+TEST(ChaosTest, RepeatedWorkerFaultsKeepOneWorkerThread) {
+  constexpr std::uint64_t kFaults = 64;
+  std::mutex ids_mutex;
+  std::set<std::thread::id> ids;
+  serve::ServerConfig cfg = sequential_config();
+  cfg.on_result = [&](const serve::CompletionInfo&) {
+    std::lock_guard<std::mutex> lock(ids_mutex);
+    ids.insert(std::this_thread::get_id());
+  };
+  auto server = serve::InferenceServer(make_frozen_extractor(), cfg);
+  const sim::VideoClip clip = make_clips(1).front();
+
+  const core::ExtractionResult before = server.submit(clip).get();
+
+  fault::FaultPlan plan;
+  for (std::uint64_t call = 1; call <= kFaults; ++call) {
+    plan.throw_on_extract_calls.push_back(call);
+  }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    for (std::uint64_t i = 0; i < kFaults; ++i) {
+      EXPECT_THROW(server.submit(clip).get(), fault::InjectedFaultError);
+    }
+    EXPECT_EQ(fault::Injector::instance().extract_calls(), kFaults);
+  }
+
+  const core::ExtractionResult after = server.submit(clip).get();
+  server.drain();
+
+  EXPECT_EQ(ids.size(), 1u);
+  EXPECT_EQ(after.description, before.description);
+  EXPECT_EQ(after.confidence, before.confidence);
+  EXPECT_EQ(after.warnings, before.warnings);
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.worker_faults, kFaults);
+  EXPECT_EQ(stats.failed, kFaults);
+  EXPECT_EQ(stats.completed, 2u);
 }
 
 // ---- circuit breaker ------------------------------------------------------------
@@ -274,7 +318,7 @@ TEST(ChaosTest, FailedProbeReopensCircuit) {
 }
 
 // With no fallback configured there is nothing to route to: repeated faults
-// keep failing fast on the primary (each restarting its worker) and the
+// keep failing fast on the primary (the worker serving on past each) and the
 // circuit must never trip.
 TEST(ChaosTest, NoFallbackMeansNoTrip) {
   serve::ServerConfig cfg = sequential_config();

@@ -4,12 +4,13 @@
 
 #include "baseline/majority.hpp"
 #include "core/extractor.hpp"
-#include "sdl/embedding.hpp"
+#include "index/flat.hpp"
 #include "sdl/serialization.hpp"
 
 namespace baseline = tsdx::baseline;
 namespace core = tsdx::core;
 namespace data = tsdx::data;
+namespace ix = tsdx::index;
 namespace sdl = tsdx::sdl;
 namespace sim = tsdx::sim;
 
@@ -108,17 +109,16 @@ TEST(IntegrationTest, ExtractedDescriptionsPowerScenarioSearch) {
   auto& f = trained();
   f.extractor->model().set_training(false);
 
-  // Index extracted descriptions of the test clips.
-  sdl::ScenarioIndex index;
+  // Index extracted descriptions of the test clips, by clip index.
+  ix::FlatIndex index;
   for (std::size_t i = 0; i < f.test.size(); ++i) {
-    index.add("clip" + std::to_string(i),
-              f.extractor->extract(f.test[i].video).description);
+    index.insert(i, f.extractor->extract(f.test[i].video).description);
   }
   // Querying with a clip's own ground truth must return *some* ranking with
   // the best hits more similar than the worst.
-  const auto hits = index.query(f.test[0].description, f.test.size());
+  const auto hits = index.search({f.test[0].description, {}, f.test.size()});
   ASSERT_EQ(hits.size(), f.test.size());
-  EXPECT_GE(hits.front().similarity, hits.back().similarity);
+  EXPECT_GE(hits.front().score, hits.back().score);
 }
 
 TEST(IntegrationTest, ConfidencesCorrelateWithCorrectness) {

@@ -223,8 +223,8 @@ TEST(LockOrderTest, DisabledValidatorRecordsNothing) {
 }
 
 // The guard on the production code: a full request workload — concurrent
-// submitters, batching workers, the supervisor, stats, the circuit breaker,
-// metrics, and a nested tsdx::par fan-out — must acquire every lock in
+// submitters, batching workers, stats, the circuit breaker, metrics, and a
+// nested tsdx::par fan-out — must acquire every lock in
 // documented hierarchy order. Any inversion introduced into src/serve or
 // src/tensor turns into a concrete Violation here (and in the TSan CI job,
 // which runs the serve suites with TSDX_LOCK_ORDER=1).

@@ -372,34 +372,6 @@ TEST(EmbeddingTest, ZeroedSlotWeightStillNormalizes) {
               1e-6f);
 }
 
-TEST(ScenarioIndexTest, QueryRanksExactMatchFirst) {
-  sdl::ScenarioIndex index;
-  const sdl::ScenarioDescription a = example_description();
-  sdl::ScenarioDescription b = a;
-  b.ego_action = sdl::EgoAction::kStop;
-  sdl::ScenarioDescription c = a;
-  c.environment.road_layout = sdl::RoadLayout::kStraight;
-  c.ego_action = sdl::EgoAction::kCruise;
-  c.salient_actor = {};
-
-  index.add("a", a);
-  index.add("b", b);
-  index.add("c", c);
-  ASSERT_EQ(index.size(), 3u);
-
-  const auto hits = index.query(a, 2);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].id, "a");
-  EXPECT_NEAR(hits[0].similarity, 1.0f, 1e-5f);
-  EXPECT_EQ(hits[1].id, "b");
-}
-
-TEST(ScenarioIndexTest, KLargerThanIndexReturnsAll) {
-  sdl::ScenarioIndex index;
-  index.add("only", example_description());
-  EXPECT_EQ(index.query(example_description(), 10).size(), 1u);
-}
-
 // ---- diff -------------------------------------------------------------------------------------
 
 TEST(DiffTest, IdenticalDescriptionsHaveNoDiff) {

@@ -28,8 +28,8 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     rethrows (`throw;`) or routes through the fault-injection
                     layer (`fault::`). A catch-all that swallows is how
                     recovery bugs hide: the serve layer is the one place with
-                    a contract for translating arbitrary failures (worker
-                    supervision, circuit breaker, degraded fallback, the
+                    a contract for translating arbitrary failures (in-place
+                    worker recovery, circuit breaker, degraded fallback, the
                     Router's failover retries in src/serve/router.cpp);
                     every other layer must let unknown exceptions propagate
                     to it.
