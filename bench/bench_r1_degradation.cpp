@@ -83,7 +83,6 @@ LoadPoint run_load_point(
   serve::ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 8;
-  cfg.batch_window = std::chrono::microseconds{0};
   // A small queue + shed-oldest keeps waiting time bounded: under overload
   // the freshest clips win, which is the right policy for live video.
   cfg.queue_capacity = 8;
@@ -255,7 +254,6 @@ FleetRow run_fleet_arc(
   cfg.replicas = replicas;
   cfg.server.workers = 1;
   cfg.server.max_batch = 8;
-  cfg.server.batch_window = std::chrono::microseconds{0};
   cfg.server.queue_capacity = 8;
   // kReject (not shed-oldest): a full replica queue bounces the dispatch so
   // the *router* spills it to a less-loaded sibling — and only sheds to the

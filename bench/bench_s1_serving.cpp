@@ -1,14 +1,13 @@
 // R-S1 — Serving throughput & tail latency (tsdx::serve runtime):
 // aggregate clips/s and p50/p95/p99 request latency as a function of worker
-// count × micro-batch window, against the single-threaded for-loop baseline
-// every offline user of ScenarioExtractor::extract() runs today.
+// count, against the single-threaded for-loop baseline every offline user of
+// ScenarioExtractor::extract() runs today.
 //
 // Expected shape: throughput scales with workers (≈linear until the core
-// count), a non-zero batch window raises mean batch size (amortizing
-// per-dispatch overhead) at the cost of p50 latency, and tail latency grows
-// with queue depth under a saturating closed-loop load. The for-loop
-// baseline defines 1.0× throughput and the best achievable p50 at
-// concurrency 1.
+// count), batches form from whatever is queued when a worker frees up, and
+// tail latency grows with queue depth under a saturating closed-loop load.
+// The for-loop baseline defines 1.0× throughput and the best achievable p50
+// at concurrency 1.
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -24,9 +23,9 @@ using namespace tsdx::bench;
 
 namespace {
 
-// Full run; --smoke (the bench-smoke CI job) quarters the request count and
-// drops the batching-window sweep so the bench finishes in CI seconds while
-// still exercising the full submit -> batch -> extract -> resolve path.
+// Full run; --smoke (the bench-smoke CI job) quarters the request count so
+// the bench finishes in CI seconds while still exercising the full
+// submit -> batch -> extract -> resolve path.
 std::size_t g_requests = 160;            // per configuration
 constexpr std::size_t kProducers = 4;    // client threads driving the server
 constexpr std::size_t kClipPool = 16;    // distinct clips, submitted round-robin
@@ -50,12 +49,11 @@ struct RunResult {
 /// each future (an RPC client's view of the server).
 RunResult run_server_config(
     const std::shared_ptr<const core::ScenarioExtractor>& extractor,
-    std::size_t workers, std::chrono::microseconds window,
-    std::size_t max_batch, const std::vector<sim::VideoClip>& clips) {
+    std::size_t workers, std::size_t max_batch,
+    const std::vector<sim::VideoClip>& clips) {
   serve::ServerConfig cfg;
   cfg.workers = workers;
   cfg.max_batch = max_batch;
-  cfg.batch_window = window;
   cfg.queue_capacity = 256;
   cfg.overflow = serve::OverflowPolicy::kBlock;
   serve::InferenceServer server(extractor, cfg);
@@ -127,31 +125,24 @@ int main(int argc, char** argv) {
               baseline_lat.percentile(99.0), baseline_lat.mean());
 
   const std::size_t worker_counts[] = {1, 2, 4};
-  const std::chrono::microseconds windows[] = {
-      std::chrono::microseconds(0), std::chrono::microseconds(2000)};
-  const std::size_t window_count = smoke ? 1 : 2;  // smoke: skip the sweep
-  double one_worker_throughput[2] = {0.0, 0.0};
+  double one_worker_throughput = 0.0;
   serve::ServerStats last_stats;
-  for (std::size_t w = 0; w < window_count; ++w) {
-    for (const std::size_t workers : worker_counts) {
-      const RunResult run =
-          run_server_config(extractor, workers, windows[w], 8, clips);
-      const double throughput =
-          static_cast<double>(run.stats.completed) / run.seconds;
-      if (workers == 1) one_worker_throughput[w] = throughput;
-      char label[64];
-      std::snprintf(label, sizeof(label), "serve w=%zu window=%lldus", workers,
-                    static_cast<long long>(windows[w].count()));
-      char speedup[16];
-      std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                    throughput / one_worker_throughput[w]);
-      std::printf("%-26s %9.1f %8s %6.2f %7.2f %8.2f %8.2f %8.2f\n", label,
-                  throughput, speedup, run.stats.mean_batch_size(),
-                  run.stats.latency.percentile(50.0),
-                  run.stats.latency.percentile(95.0),
-                  run.stats.latency.percentile(99.0), run.stats.latency.mean());
-      last_stats = run.stats;
-    }
+  for (const std::size_t workers : worker_counts) {
+    const RunResult run = run_server_config(extractor, workers, 8, clips);
+    const double throughput =
+        static_cast<double>(run.stats.completed) / run.seconds;
+    if (workers == 1) one_worker_throughput = throughput;
+    char label[64];
+    std::snprintf(label, sizeof(label), "serve w=%zu", workers);
+    char speedup[16];
+    std::snprintf(speedup, sizeof(speedup), "%.2fx",
+                  throughput / one_worker_throughput);
+    std::printf("%-26s %9.1f %8s %6.2f %7.2f %8.2f %8.2f %8.2f\n", label,
+                throughput, speedup, run.stats.mean_batch_size(),
+                run.stats.latency.percentile(50.0),
+                run.stats.latency.percentile(95.0),
+                run.stats.latency.percentile(99.0), run.stats.latency.mean());
+    last_stats = run.stats;
   }
 
   // Fault-tolerance counters (see DESIGN.md §9). This closed-loop bench
@@ -161,7 +152,7 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", last_stats.fault_summary().c_str());
 
   std::printf(
-      "\n(speedup column is vs the 1-worker server at the same window; "
+      "\n(speedup column is vs the 1-worker server; "
       "compare clips/s against the for-loop row for end-to-end gain.\n"
       " scaling tops out at the machine's core count — this host has %u.)\n",
       std::thread::hardware_concurrency());

@@ -118,15 +118,15 @@ int main(int argc, char** argv) {
 
   extractor->freeze();  // mandatory before serving
 
-  // 3. The server: 2 workers, micro-batches of up to 8 formed within a 2 ms
-  //    window, a 64-deep queue that blocks producers when full. Degraded
-  //    mode is armed with the training set's majority answer: if the
-  //    primary model faults repeatedly or the queue saturates, the circuit
-  //    breaker routes requests there instead of failing them.
+  // 3. The server: 2 workers, micro-batches of up to 8 formed from whatever
+  //    is queued when a worker frees up (no worker waits for followers), a
+  //    64-deep queue that blocks producers when full. Degraded mode is
+  //    armed with the training set's majority answer: if the primary model
+  //    faults repeatedly or the queue saturates, the circuit breaker routes
+  //    requests there instead of failing them.
   serve::ServerConfig sc;
   sc.workers = 2;
   sc.max_batch = 8;
-  sc.batch_window = std::chrono::microseconds(2000);
   sc.queue_capacity = 64;
   sc.overflow = serve::OverflowPolicy::kBlock;
   sc.fallback = serve::MajorityFallback::fit(train);

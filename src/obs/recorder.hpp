@@ -30,7 +30,7 @@
 //
 //   admission   = enqueue  - submit     (submit-side checks + queue push)
 //   queue       = dispatch - enqueue    (waiting in the bounded queue)
-//   batch_wait  = execute  - dispatch   (batch window fill + scrub + setup)
+//   batch_wait  = execute  - dispatch   (rest of the batch taken + setup)
 //   execute     = done     - execute    (extractor / plan / fallback)
 //   retry_backoff                        (router backoff sleeps, accumulated)
 //

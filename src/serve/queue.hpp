@@ -97,32 +97,6 @@ class BoundedQueue {
     return pop_locked();
   }
 
-  /// Pop an item if one is available now or arrives before `deadline`;
-  /// std::nullopt on timeout or when closed-and-empty. Used by the
-  /// micro-batcher to top up a batch inside the batching window.
-  ///
-  /// Spurious-wakeup contract (audited; pinned by serve_test's
-  /// BoundedQueueTimedPopTest): a wakeup that finds the queue still empty
-  /// before `deadline` — whether spurious or from a notify that raced with
-  /// another consumer taking the item — RE-WAITS for the remaining time
-  /// instead of returning std::nullopt early. The explicit loop below makes
-  /// that re-wait visible rather than delegating it to the predicate
-  /// overload of wait_until; the loop exits only on (a) an item, (b) close,
-  /// or (c) the deadline genuinely elapsing.
-  template <typename Clock, typename Duration>
-  std::optional<T> try_pop_until(
-      const std::chrono::time_point<Clock, Duration>& deadline)
-      TSDX_EXCLUDES(mutex_) {
-    UniqueLock lock(mutex_);
-    while (items_.empty() && !closed_) {
-      if (not_empty_.wait_until(lock, deadline) == std::cv_status::timeout &&
-          items_.empty() && !closed_) {
-        return std::nullopt;
-      }
-    }
-    return pop_locked();
-  }
-
   /// Non-waiting pop: an item if immediately available, else std::nullopt.
   std::optional<T> try_pop() TSDX_EXCLUDES(mutex_) {
     LockGuard lock(mutex_);

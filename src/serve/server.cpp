@@ -209,86 +209,71 @@ std::vector<InferenceServer::Request> InferenceServer::fill_batch(
     Request first) {
   std::vector<Request> batch;
   batch.reserve(config_.max_batch);
-  const auto window_deadline = Clock::now() + config_.batch_window;
-  if (!expire_if_due(first, Clock::now())) {
-    first.rec.dispatch_ns = obs::Recorder::global().now_ns();
-    batch.push_back(std::move(first));
-  }
-  while (batch.size() < config_.max_batch) {
-    std::optional<Request> more =
-        config_.batch_window.count() == 0
-            ? queue_.try_pop()
-            : queue_.try_pop_until(window_deadline);
-    if (!more) break;
-    // Scrub expired requests here, at batching time: a request whose
+  std::optional<Request> next(std::move(first));
+  do {
+    // Scrub expired requests here, as they are taken: a request whose
     // deadline has passed is failed immediately and never takes a slot a
-    // live request could use.
-    if (expire_if_due(*more, Clock::now())) continue;
-    more->rec.dispatch_ns = obs::Recorder::global().now_ns();
-    batch.push_back(std::move(*more));
-  }
+    // live request could use. Nothing waits between here and the plan run.
+    if (expire_if_due(*next, Clock::now())) continue;
+    next->rec.dispatch_ns = obs::Recorder::global().now_ns();
+    batch.push_back(std::move(*next));
+  } while (batch.size() < config_.max_batch && (next = queue_.try_pop()));
   return batch;
 }
 
 void InferenceServer::process_batch(Replica& replica,
                                     std::vector<Request> requests) {
-  // Final deadline scrub: the batch window may have outlived a deadline.
+  if (requests.empty()) return;
   const auto now = Clock::now();
-  std::vector<Request> live;
-  live.reserve(requests.size());
-  for (auto& request : requests) {
-    if (!expire_if_due(request, now)) live.push_back(std::move(request));
-  }
-  if (live.empty()) return;
 
-  // Adopt the oldest live request's trace for the whole dispatch: every span
+  // Adopt the oldest request's trace for the whole dispatch: every span
   // below (serve.batch -> plan.execute -> gemm.*, including
   // tsdx::par workers) joins that request's trace. Per-request queue waits
   // are recorded with explicit endpoints under each request's own context.
-  obs::trace::ContextGuard trace_guard(live.front().trace);
+  obs::trace::ContextGuard trace_guard(requests.front().trace);
   TSDX_TRACE_SPAN("serve.batch");
-  for (const Request& request : live) {
+  for (const Request& request : requests) {
     obs::trace::record_span("serve.queue_wait", request.trace,
                             request.submit_time, now);
   }
 
   if (circuit_.route(now) == CircuitBreaker::Route::kDegraded) {
-    process_degraded(live);
+    process_degraded(requests);
     return;
   }
 
-  stats_.on_batch(live.size());
+  stats_.on_batch(requests.size());
   // Flight-record the execution start: one batch id per plan run.
   obs::Recorder& recorder = obs::Recorder::global();
   const std::uint64_t batch_id = recorder.mint_batch_id();
   const std::int64_t execute_ns = recorder.now_ns();
-  for (Request& request : live) {
+  for (Request& request : requests) {
     obs::Recorder::Record& rec = request.rec;
     rec.execute_ns = execute_ns;
     rec.batch_id = batch_id;
-    rec.batch_size = static_cast<std::uint32_t>(live.size());
+    rec.batch_size = static_cast<std::uint32_t>(requests.size());
     rec.worker = static_cast<std::int32_t>(replica.worker_index);
   }
   std::size_t resolved = 0;
   try {
     std::vector<const sim::VideoClip*> clips;
-    clips.reserve(live.size());
-    for (const Request& request : live) clips.push_back(&request.clip);
+    clips.reserve(requests.size());
+    for (const Request& request : requests) clips.push_back(&request.clip);
     data::Batch batch;
     batch.video = stack_clips(clips);
     fault::Injector::instance().on_extract_batch(config_.fault_domain);
     std::vector<core::ExtractionResult> results =
         replica.executor.extract_batch(batch);
-    TSDX_CHECK(results.size() == live.size(),
+    TSDX_CHECK(results.size() == requests.size(),
                "InferenceServer: the plan returned ", results.size(),
-               " results for a batch of ", live.size());
+               " results for a batch of ", requests.size());
     // Accounting before resolution, here and in the catch below: a client
     // that has observed its request's outcome must also observe the
     // matching counters and circuit state (updates sequenced before the
     // callback are visible to whoever it hands the outcome to).
     circuit_.on_success();
-    for (; resolved < live.size(); ++resolved) {
-      Request& request = live[resolved];
+    for (; resolved < requests.size(); ++resolved) {
+      Request& request = requests[resolved];
       notify_result(request, results[resolved], /*degraded=*/false);
       close_request(request, obs::Recorder::Outcome::kCompleted);
       request.done(std::move(results[resolved]), nullptr);
@@ -301,8 +286,8 @@ void InferenceServer::process_batch(Replica& replica,
     const std::exception_ptr error = std::current_exception();
     stats_.on_worker_fault();
     circuit_.on_fault(Clock::now());
-    for (std::size_t i = resolved; i < live.size(); ++i) {
-      close_request(live[i], obs::Recorder::Outcome::kFailed, error);
+    for (std::size_t i = resolved; i < requests.size(); ++i) {
+      close_request(requests[i], obs::Recorder::Outcome::kFailed, error);
     }
   }
 }

@@ -31,11 +31,12 @@
 //   weights. Inference is a const traversal of those weights; the server
 //   refuses models left in training mode, where dropout would mutate the
 //   shared Rng behind extract()'s const facade (see layers.hpp::Dropout).
-// * The micro-batcher coalesces queued requests: a worker takes the first
-//   request, then keeps accepting more until `max_batch` are in hand or
-//   `batch_window` has elapsed — whichever comes first — and runs the batch
-//   through its PlanExecutor: one plan run per micro-batch, in an arena
-//   reserved for max_batch when the worker starts.
+// * The micro-batcher is work-conserving: a worker blocks for its first
+//   request, takes whatever else is already queued (up to `max_batch`) and
+//   runs the batch at once through its PlanExecutor — it never holds a
+//   batch open for followers; under load, batches fill from the backlog
+//   that builds while the workers are busy. One plan run per micro-batch,
+//   in an arena reserved for max_batch when the worker starts.
 // * In-place recovery: an exception thrown out of the plan run fails only
 //   the in-flight batch's requests (with the captured exception) and
 //   increments ServerStats::worker_faults; the same worker thread then pops
@@ -100,9 +101,6 @@ struct ServerConfig {
   std::size_t workers = 2;
   /// Largest model batch a worker will assemble.
   std::size_t max_batch = 8;
-  /// How long a worker holds an incomplete batch open waiting for more
-  /// requests. 0 means "never wait": batch whatever is already queued.
-  std::chrono::microseconds batch_window{2000};
   /// Bound on queued (not yet dispatched) requests.
   std::size_t queue_capacity = 64;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
@@ -248,9 +246,10 @@ class InferenceServer {
   Replica make_replica(std::size_t worker_index) const;
 
   void worker_loop(std::size_t worker_index);
-  /// Assemble one micro-batch starting from `first` (max_batch / batch
-  /// window, whichever first), scrubbing expired requests as it goes. May
-  /// return an empty batch if everything it saw had expired.
+  /// Assemble one micro-batch: `first`, then whatever is already queued,
+  /// up to max_batch, without waiting for more. Expired requests are failed
+  /// as they are taken — the one deadline scrub — so they take no slot.
+  /// May return an empty batch if everything it took had expired.
   std::vector<Request> fill_batch(Request first);
   /// Dispatch a micro-batch through the replica (or the fallback when the
   /// circuit is open) and resolve every request. A plan run that throws

@@ -82,7 +82,7 @@ struct ServerStats {
   LatencyHistogram latency;
 
   /// One bench-table row: counters, mean batch, p50/p95/p99. `label` names
-  /// the configuration (e.g. "workers=4 window=2ms").
+  /// the configuration (e.g. "workers=4 max_batch=8").
   std::string table_row(const std::string& label) const;
   /// Header matching table_row's columns.
   static std::string table_header();

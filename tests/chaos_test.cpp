@@ -89,13 +89,12 @@ std::shared_ptr<serve::MajorityFallback> make_fallback() {
   return std::make_shared<serve::MajorityFallback>(labels, confidence);
 }
 
-/// One worker, batches of one, no batching window: extract_batch dispatch N
-/// is exactly request N, so FaultPlan call indices map 1:1 to requests.
+/// One worker, batches of one: extract_batch dispatch N is exactly request
+/// N, so FaultPlan call indices map 1:1 to requests.
 serve::ServerConfig sequential_config() {
   serve::ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 1;
-  cfg.batch_window = std::chrono::microseconds{0};
   cfg.queue_capacity = 8;
   return cfg;
 }

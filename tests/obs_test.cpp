@@ -783,7 +783,6 @@ TEST(ObsTraceTest, OneRequestIsTracedEndToEndUnderASingleId) {
   serve::ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 1;
-  cfg.batch_window = std::chrono::microseconds{0};
   cfg.queue_capacity = 8;
   cfg.metrics = registry;
   serve::InferenceServer server(make_frozen_extractor(), cfg);

@@ -90,15 +90,14 @@ bool is_degraded(const core::ExtractionResult& result) {
          result.warnings.front() == serve::kDegradedWarning;
 }
 
-/// Replicas of one worker, batches of one, no batching window: each
-/// replica's extract dispatch N is exactly its Nth request, so
-/// ReplicaPlan call indices map 1:1 to per-replica requests.
+/// Replicas of one worker, batches of one: each replica's extract dispatch
+/// N is exactly its Nth request, so ReplicaPlan call indices map 1:1 to
+/// per-replica requests.
 serve::RouterConfig sequential_router(std::size_t replicas) {
   serve::RouterConfig cfg;
   cfg.replicas = replicas;
   cfg.server.workers = 1;
   cfg.server.max_batch = 1;
-  cfg.server.batch_window = std::chrono::microseconds{0};
   cfg.server.queue_capacity = 8;
   cfg.metrics = std::make_shared<obs::Registry>();
   return cfg;

@@ -361,15 +361,14 @@ TEST(ServeLifecycleTest, ModelErrorPropagatesThroughFuture) {
 
 // A malformed clip is refused at submit(): it never shares a batch with the
 // clips behind it, so it fails alone — no innocent request fails with it, no
-// worker dies, and the breaker (set to trip on a single fault) stays shut.
+// worker faults, and the breaker (set to trip on a single fault) stays shut.
 TEST(ServeLifecycleTest, MalformedClipFailsAloneWithoutFaultingTheWorker) {
   auto extractor = make_frozen_extractor();
+  // workers=0: drain() forms one batch of everything queued, so the bad clip
+  // would share it with the good ones behind it had it reached the queue.
   serve::ServerConfig cfg =
-      config_with(/*workers=*/1, /*max_batch=*/4, /*capacity=*/8,
+      config_with(/*workers=*/0, /*max_batch=*/4, /*capacity=*/8,
                   serve::OverflowPolicy::kBlock);
-  // A window long enough that the bad clip and the good ones behind it
-  // would form one batch if the bad clip reached the queue.
-  cfg.batch_window = std::chrono::milliseconds(50);
   cfg.circuit.fault_threshold = 1;
   sdl::SlotLabels labels{};
   std::array<float, sdl::kNumSlots> confidence{};
@@ -397,8 +396,31 @@ TEST(ServeLifecycleTest, MalformedClipFailsAloneWithoutFaultingTheWorker) {
   EXPECT_EQ(stats.worker_faults, 0u);
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, clips.size());
+  EXPECT_EQ(stats.batches(), 1u);
+  EXPECT_EQ(stats.batch_size_counts[clips.size()], 1u);
   EXPECT_EQ(stats.degraded_completions, 0u);
   EXPECT_EQ(server.circuit_state(), serve::CircuitState::kClosed);
+}
+
+// ---- latency: the batcher is work-conserving ------------------------------------
+
+// A worker dispatches what is queued: a lone request runs at once instead of
+// waiting for followers that do not come. Its batch_wait segment (dispatch
+// to execute) spans only batch assembly, so it stays far below a millisecond.
+TEST(ServeLatencyTest, LoneRequestIsNotHeldForFollowers) {
+  auto extractor = make_frozen_extractor();
+  serve::ServerConfig cfg = config_with(/*workers=*/1, /*max_batch=*/8,
+                                        /*capacity=*/8,
+                                        serve::OverflowPolicy::kBlock);
+  auto registry = std::make_shared<obs::Registry>();
+  cfg.metrics = registry;
+  serve::InferenceServer server(extractor, cfg);
+  const auto clips = make_clips(1);
+  server.submit(clips[0]).get();
+  const obs::Histogram& batch_wait =
+      registry->histogram("obs.segment_ms.batch_wait");
+  EXPECT_EQ(batch_wait.count(), 1u);
+  EXPECT_LT(batch_wait.sum(), 1.0);
 }
 
 // ---- stress: no lost or duplicated requests -------------------------------------
@@ -584,54 +606,6 @@ TEST(ServeAccountingTest, RecordsCountersAndStatsAgreeOnEveryOutcome) {
       stat_sum(&serve::ServerStats::cancelled);
   EXPECT_EQ(stat_sum(&serve::ServerStats::submitted), resolved);
   EXPECT_EQ(counter("serve.submitted"), resolved);
-}
-
-// ---- queue timed pop: the spurious-wakeup contract ------------------------------
-
-// try_pop_until must return std::nullopt only when the deadline has
-// genuinely elapsed — never early.
-TEST(BoundedQueueTimedPopTest, TimesOutOnlyAtTheDeadline) {
-  serve::BoundedQueue<int> queue(4, serve::OverflowPolicy::kBlock);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
-  EXPECT_FALSE(queue.try_pop_until(deadline).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
-  // A deadline already in the past degrades to a non-waiting try_pop.
-  queue.push(7);
-  const auto past =
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  EXPECT_EQ(queue.try_pop_until(past), 7);
-}
-
-// Regression for the audited wakeup path in BoundedQueue::try_pop_until
-// (see the contract comment in queue.hpp): push() notifies the timed
-// waiter, but a faster consumer can steal the item before the waiter
-// reacquires the lock. The waiter then wakes to an *empty* queue with time
-// left on the clock — exactly the shape of a spurious wakeup — and must
-// re-wait for the follow-up item instead of reporting a timeout. The steal
-// is a race, so the test runs many jittered rounds and asserts the
-// invariant whichever way each round's race resolves.
-TEST(BoundedQueueTimedPopTest, WakeupFindingQueueEmptyReWaits) {
-  for (int round = 0; round < 100; ++round) {
-    serve::BoundedQueue<int> queue(4, serve::OverflowPolicy::kBlock);
-    std::optional<int> got;
-    serve::ThreadPool waiter;
-    waiter.spawn(1, [&](std::size_t) {
-      got = queue.try_pop_until(std::chrono::steady_clock::now() +
-                                std::chrono::seconds(20));
-    });
-    // Jitter so successive rounds catch the waiter at different points
-    // (not yet waiting, parked in the wait, mid-wakeup).
-    std::this_thread::sleep_for(std::chrono::microseconds(50 * (round % 4)));
-    queue.push(1);
-    const std::optional<int> stolen = queue.try_pop();  // races the waiter
-    queue.push(2);
-    waiter.join();
-    ASSERT_TRUE(got.has_value())
-        << "round " << round << ": waiter timed out 20s early (stole="
-        << stolen.has_value() << ")";
-    EXPECT_EQ(*got, stolen ? 2 : 1) << "round " << round;
-  }
 }
 
 // ---- stats surface --------------------------------------------------------------

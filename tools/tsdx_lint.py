@@ -118,6 +118,13 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     `relay_queue_capacity` appear nowhere in the code,
                     tests, benches, examples, tools or CI (this file
                     excepted).
+  serve-work-conserving  The micro-batcher has one policy: a worker blocks
+                    for its first request, then takes only what is already
+                    queued (up to max_batch) and runs the batch — it never
+                    holds a batch open for followers. The deleted
+                    `batch_window` knob and `BoundedQueue::try_pop_until`
+                    appear nowhere in the code, tests, benches, examples,
+                    tools or CI (this file excepted).
 
 Usage: tsdx_lint.py [repo_root]      (exit 0 = clean, 1 = violations)
 If repo_root is omitted it is derived from this script's location, so the
@@ -598,21 +605,9 @@ class Linter:
                                    "extract_batch outside a PlanExecutor in "
                                    "src/serve/ — the server runs compiled "
                                    "plans only")
-        knob = re.compile(r"\buse_compiled_plan\b")
-        this_file = Path(__file__).resolve()
-        for sub in ("src", "tests", "bench", "examples", "tools", ".github"):
-            for path in sorted((self.root / sub).rglob("*")):
-                if path.suffix not in (".hpp", ".cpp", ".inc", ".py",
-                                       ".yml", ".txt"):
-                    continue
-                if path.resolve() == this_file:
-                    continue
-                for lineno, line in enumerate(
-                        path.read_text().splitlines(), 1):
-                    if knob.search(line):
-                        self.error(path, lineno, "serve-plan-only",
-                                   "`use_compiled_plan` no longer exists — "
-                                   "servers always run compiled plans")
+        self.check_deleted_names(r"\buse_compiled_plan\b", "serve-plan-only",
+                                 "`use_compiled_plan` no longer exists — "
+                                 "servers always run compiled plans")
 
     # ---- router-nonblocking ---------------------------------------------------
 
@@ -626,7 +621,27 @@ class Linter:
                                "the Router blocks no thread on a request — "
                                "react in the completion callback or post a "
                                "timer to the router's heap")
-        knob = re.compile(r"\brelay_(?:threads|queue_capacity)\b")
+        self.check_deleted_names(r"\brelay_(?:threads|queue_capacity)\b",
+                                 "router-nonblocking",
+                                 "the Router's relay pool and its knobs "
+                                 "no longer exist")
+
+    # ---- serve-work-conserving ------------------------------------------------
+
+    def check_serve_work_conserving(self) -> None:
+        self.check_deleted_names(r"\b(?:batch_window|try_pop_until)\b",
+                                 "serve-work-conserving",
+                                 "the batcher dispatches what is queued — "
+                                 "`batch_window` and `try_pop_until` no "
+                                 "longer exist")
+
+    # ---- deleted names (shared by the rules above) ----------------------------
+
+    def check_deleted_names(self, pattern: str, rule: str, msg: str) -> None:
+        """Report every line matching `pattern` in the code, tests, benches,
+        examples, tools or CI (this file excepted): a deleted name stays
+        deleted."""
+        name = re.compile(pattern)
         this_file = Path(__file__).resolve()
         for sub in ("src", "tests", "bench", "examples", "tools", ".github"):
             for path in sorted((self.root / sub).rglob("*")):
@@ -637,10 +652,8 @@ class Linter:
                     continue
                 for lineno, line in enumerate(
                         path.read_text().splitlines(), 1):
-                    if knob.search(line):
-                        self.error(path, lineno, "router-nonblocking",
-                                   "the Router's relay pool and its knobs "
-                                   "no longer exist")
+                    if name.search(line):
+                        self.error(path, lineno, rule, msg)
 
     # ---- driver -------------------------------------------------------------
 
@@ -660,6 +673,7 @@ class Linter:
         self.check_terminal_sink()
         self.check_serve_plan_only()
         self.check_router_nonblocking()
+        self.check_serve_work_conserving()
         if self.errors:
             for e in self.errors:
                 print(e)
